@@ -10,7 +10,6 @@ independent ODE / quadrature / Monte Carlo verification oracle
 
 from .closed_form import (
     CoefficientSet,
-    JumpCoefficientSet,
     expected_rate_turning_time,
     feedback_rate,
     feedback_rate_jump,

@@ -16,8 +16,8 @@ delay       Print the delay constant, delayed value and bound, production
 
 ``--config`` accepts either a bundled preset name (table13, sim-nojump,
 sim-jump-pos, sim-jump-neg, sim-delay) or a path to a JSON parameter file.
-Exit codes: 0 success, 1 validation error, 2 verification failure,
-3 I/O error.
+Exit codes: 0 success, 1 validation or usage error, 2 verification
+failure, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -25,12 +25,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
-from . import closed_form, delay as delay_mod, error_bounds, model, oracle, simulate
+from . import closed_form, delay as delay_mod, error_bounds, oracle, simulate
 from .model import HOUR, MarketState, load_param_file
 
 #: Fixed default seed so that every subcommand is reproducible by default.
@@ -72,6 +71,11 @@ def resolve_config(name_or_path: str | None, default: str) -> Path:
     return path
 
 
+def _initial_state(args) -> MarketState:
+    """Initial state from the command line; rejects non-finite values."""
+    return MarketState(t=0.0, x=args.x0, y=args.y0, d=args.d0)
+
+
 def _format_value(value: float) -> str:
     return f"{value:.3g}"
 
@@ -86,10 +90,7 @@ def _format_tail(value: float) -> str:
 
 def _table_row(params, tau: float, d0: float, y0: float):
     state = MarketState(t=0.0, x=DEFAULT_X0, y=y0, d=d0)
-    tabled = model.ModelParams(
-        sigma0=params.sigma0, sigma_d=params.sigma_d, beta=params.beta,
-        eta=params.eta, mu=params.mu, nu=params.nu, gamma=params.gamma,
-        rho=params.rho, horizon=tau)
+    tabled = replace(params, horizon=tau)
     value = closed_form.value_aux(state, tabled)
     report = error_bounds.error_bound(tau, d0 - DEFAULT_X0, y0, tabled)
     return value, report.shortfall_probability, report.bound
@@ -136,10 +137,11 @@ def cmd_simulate(args) -> int:
                          f"of {', '.join(SCENARIO_PRESETS)}")
     params, jumps, delay_seconds = load_param_file(
         resolve_config(args.config, default or "sim-nojump"))
+    state = _initial_state(args)
     policy = _build_policy(params, jumps, delay_seconds)
     paths = simulate.sample_paths(
         params, jumps, policy, args.paths, args.dt, args.seed,
-        d0=args.d0, y0=args.y0, x0=args.x0, n_workers=args.workers)
+        d0=state.d, y0=state.y, x0=state.x)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     destination = simulate.export_csv(paths, out / "paths.csv")
@@ -153,9 +155,10 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     params, jumps, _ = load_param_file(
         resolve_config(args.config, "sim-nojump"))
+    state = _initial_state(args)
     report = oracle.verification_report(
         params, jumps, seed=args.seed, n_paths=args.paths, dt=args.dt,
-        d0=args.d0, y0=args.y0)
+        d0=state.d, y0=state.y)
     text = oracle.format_report(report)
     print(text, end="")
     if args.out:
@@ -173,17 +176,16 @@ def cmd_errorbound(args) -> int:
     params, jumps, delay_seconds = load_param_file(
         resolve_config(args.config, "sim-nojump"))
     tau = params.horizon
-    spread = args.d0 - args.x0
+    state = _initial_state(args)
     if delay_seconds is not None:
-        state = MarketState(t=0.0, x=args.x0, y=args.y0, d=args.d0)
         report = delay_mod.error_bound_delay(state, params, delay_seconds)
         kind = f"delay (h = {delay_seconds / HOUR:g} h)"
     elif jumps is not None:
         report = error_bounds.error_bound_jump(
-            tau, spread, args.y0, params, jumps, seed=args.seed)
+            tau, state.spread, state.y, params, jumps, seed=args.seed)
         kind = "jump"
     else:
-        report = error_bounds.error_bound(tau, spread, args.y0, params)
+        report = error_bounds.error_bound(tau, state.spread, state.y, params)
         kind = "no-jump"
     print(f"model: {kind}")
     print(f"error bound: {report.bound:.6g} EUR")
@@ -202,7 +204,7 @@ def cmd_delay(args) -> int:
     if h is None:
         raise ValueError("no delay configured; set delay_hours in the config "
                          "or pass --delay-hours")
-    state = MarketState(t=0.0, x=args.x0, y=args.y0, d=args.d0)
+    state = _initial_state(args)
     k_h = delay_mod.delay_constant(h, params)
     value = delay_mod.value_aux_delay(state, params, h)
     bound = delay_mod.error_bound_delay(state, params, h)
@@ -246,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", default=None,
                    help="named scenario (selects a bundled preset): "
                         + " | ".join(sorted(SCENARIO_PRESETS)))
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", help="run the verification suite")
@@ -266,7 +267,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits with 2 on usage errors; 2 is reserved for
+        # verification failure, and a bad command line is a validation error.
+        return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
     except VerificationFailure as exc:

@@ -21,9 +21,7 @@ stays accurate in double precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import dataclass, replace
 
 from .model import JumpParams, MarketState, ModelParams, reduced_cost_coefficient
 
@@ -49,29 +47,15 @@ class CoefficientSet:
                 + self.g * spread + self.h * y + self.k)
 
 
-@dataclass(frozen=True)
-class JumpCoefficientSet:
-    """Jump-corrected coefficients; the quadratic part is unchanged."""
+def riccati_coefficients(tau: float, params: ModelParams) -> CoefficientSet:
+    """Coefficients A..K of the auxiliary value function at time-to-go tau.
 
-    base: CoefficientSet
-    g_lambda: float
-    h_lambda: float
-    k_lambda: float
-
-    def assemble(self, spread, y):
-        b = self.base
-        return (b.a * spread**2 + b.b * y**2 + b.f * spread * y
-                + self.g_lambda * spread + self.h_lambda * y + self.k_lambda)
-
-
-def _coefficients_for_r(tau: float, r: float, params: ModelParams) -> CoefficientSet:
-    """Closed-form coefficients with an explicit reduced cost coefficient.
-
-    Used with r = r(eta, beta) for the auxiliary problem and r = eta for
-    the pure-trader limit.
+    The pure-trader limit is the same formula at ``beta=None``, where the
+    reduced cost coefficient r(eta, beta) becomes eta.
     """
     if tau < 0:
         raise ValueError("time-to-go must be nonnegative")
+    r = reduced_cost_coefficient(params)
     s0, sd = params.sigma0, params.sigma_d
     mu, nu, gamma, rho = params.mu, params.nu, params.gamma, params.rho
     den = (r + nu) * tau + 2.0 * gamma
@@ -87,11 +71,6 @@ def _coefficients_for_r(tau: float, r: float, params: ModelParams) -> Coefficien
          * tau
          + r * mu**2 * tau**2 * (0.5 * nu * tau + gamma) / den)
     return CoefficientSet(a, b, f, g, h, k)
-
-
-def riccati_coefficients(tau: float, params: ModelParams) -> CoefficientSet:
-    """Coefficients A..K of the auxiliary value function at time-to-go tau."""
-    return _coefficients_for_r(tau, reduced_cost_coefficient(params), params)
 
 
 def value_aux(state: MarketState, params: ModelParams) -> float:
@@ -119,15 +98,12 @@ def feedback_rate(tau, spread, y, params: ModelParams):
 
 def value_pure_trader(state: MarketState, params: ModelParams) -> float:
     """Value function of the pure trader (beta -> infinity, r -> eta)."""
-    tau = params.horizon - state.t
-    coeffs = _coefficients_for_r(tau, params.eta, params)
-    return float(coeffs.assemble(state.spread, state.y))
+    return value_aux(state, replace(params, beta=None))
 
 
 def feedback_rate_pure_trader(tau, spread, y, params: ModelParams):
     """Pure-trader feedback rate: q with r replaced by eta."""
-    return (params.eta * (params.mu * tau + spread) - y) / (
-        (params.eta + params.nu) * tau + 2.0 * params.gamma)
+    return feedback_rate(tau, spread, y, replace(params, beta=None))
 
 
 def forecast_equilibrium(tau, state: MarketState, params: ModelParams):
@@ -156,11 +132,11 @@ def forecast_equilibrium(tau, state: MarketState, params: ModelParams):
 
 
 def jump_riccati_coefficients(tau: float, params: ModelParams,
-                              jumps: JumpParams | None) -> JumpCoefficientSet:
-    """Jump-corrected coefficients G_l, H_l, K_l (A, B, F are unchanged)."""
+                              jumps: JumpParams | None) -> CoefficientSet:
+    """Coefficients with G, H, K jump-corrected (A, B, F are unchanged)."""
     base = riccati_coefficients(tau, params)
     if jumps is None or jumps.lam == 0.0:
-        return JumpCoefficientSet(base, base.g, base.h, base.k)
+        return base
 
     r = reduced_cost_coefficient(params)
     mu, nu, gamma = params.mu, params.nu, params.gamma
@@ -193,7 +169,7 @@ def jump_riccati_coefficients(tau: float, params: ModelParams,
     k_l += (0.5 * lam**2 * pp * pm * r * (2.0 * nu * dp * dm + dm * pip + dp * pim)
             / den * tau**3)
     k_l += (4.0 * r * mu * lam * pi - lam**2 * pi**2) / (8.0 * den) * tau**3
-    return JumpCoefficientSet(base, g_l, h_l, k_l)
+    return CoefficientSet(base.a, base.b, base.f, g_l, h_l, k_l)
 
 
 def value_aux_jump(state: MarketState, params: ModelParams,
@@ -208,10 +184,10 @@ def feedback_rate_jump(tau, spread, y, params: ModelParams,
                        jumps: JumpParams | None):
     """Optimal feedback rate in the jump model.
 
-    Two equivalent algebraic forms exist: an additive correction to the
-    no-jump rate, and the no-jump rate at jump-shifted arguments plus
-    ``lam pi tau / (4 gamma)``.  The additive form is evaluated; in debug
-    runs the shifted form is cross-asserted against it.
+    Evaluated as an additive correction to the no-jump rate; it equals the
+    no-jump rate at the jump-shifted arguments
+    ``(spread + lam delta tau, y + lam pi tau / 2)`` plus
+    ``lam pi tau / (4 gamma)``.
     """
     if jumps is None or jumps.lam == 0.0:
         return feedback_rate(tau, spread, y, params)
@@ -219,21 +195,9 @@ def feedback_rate_jump(tau, spread, y, params: ModelParams,
     nu, gamma = params.nu, params.gamma
     lam, delta, pi = jumps.lam, jumps.delta, jumps.pi
     den = (r + nu) * tau + 2.0 * gamma
-    base = feedback_rate(tau, spread, y, params)
-    q = (base
-         + lam * tau * (r * delta - 0.5 * pi) / den
-         + lam * pi * tau / (4.0 * gamma))
-    if __debug__:
-        shifted = (feedback_rate(tau, spread + lam * delta * tau,
-                                 y + 0.5 * lam * pi * tau, params)
-                   + lam * pi * tau / (4.0 * gamma))
-        # The forms cancel to near zero when the rate changes sign, so the
-        # comparison is scaled by the size of the summands, not the result.
-        scale = np.abs(base) + abs(lam * tau * (r * delta - 0.5 * pi) / den) \
-            + abs(lam * pi * tau / (4.0 * gamma)) + 1e-12
-        assert np.all(np.abs(q - shifted) <= 1e-9 * scale), \
-            "jump feedback-rate forms disagree"
-    return q
+    return (feedback_rate(tau, spread, y, params)
+            + lam * tau * (r * delta - 0.5 * pi) / den
+            + lam * pi * tau / (4.0 * gamma))
 
 
 #: Classification labels for the mean inventory trajectory (jump model).

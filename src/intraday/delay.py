@@ -13,6 +13,7 @@ post-decision rate, and a composite simulation policy.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -25,6 +26,14 @@ def _check_delay(h: float, params: ModelParams) -> None:
         raise ValueError("delay machinery requires finite beta")
     if not 0.0 <= h <= params.horizon:
         raise ValueError("delay must lie in [0, horizon]")
+
+
+def _variance_after(tau: float, h: float, params: ModelParams) -> float:
+    """Spread variance V(tau) - V(h) accrued after a decision h before T."""
+    if h > tau:
+        raise ValueError("delay exceeds remaining time-to-go")
+    return max(error_bounds.variance_spread(tau, params)
+               - error_bounds.variance_spread(h, params), 0.0)
 
 
 def delay_constant(h: float, params: ModelParams) -> float:
@@ -75,8 +84,7 @@ def variance_spread_delay(h: float, params: ModelParams) -> float:
     V(T) - V(h); decreasing in h with V_T(T) = 0.
     """
     _check_delay(h, params)
-    return max(error_bounds.variance_spread(params.horizon, params)
-               - error_bounds.variance_spread(h, params), 0.0)
+    return _variance_after(params.horizon, h, params)
 
 
 def error_bound_delay(state, params: ModelParams,
@@ -89,16 +97,13 @@ def error_bound_delay(state, params: ModelParams,
     """
     _check_delay(h, params)
     tau = params.horizon - state.t
-    if h > tau:
-        raise ValueError("delay exceeds remaining time-to-go")
+    v_h = _variance_after(tau, h, params)
     r = reduced_cost_coefficient(params)
     nu, gamma = params.nu, params.gamma
     prefactor = (params.eta * r / (2.0 * params.beta)
                  * ((r + nu) * h + 2.0 * gamma)
                  / ((params.eta + nu) * h + 2.0 * gamma))
     m = float(error_bounds.mean_spread(tau, state.spread, state.y, params))
-    v_h = max(error_bounds.variance_spread(tau, params)
-              - error_bounds.variance_spread(h, params), 0.0)
     return error_bounds._report(m, v_h, prefactor)
 
 
@@ -111,12 +116,9 @@ def post_decision_mean_rate(state, params: ModelParams, h: float) -> float:
     """
     _check_delay(h, params)
     tau = params.horizon - state.t
-    if h > tau:
-        raise ValueError("delay exceeds remaining time-to-go")
+    v_h = _variance_after(tau, h, params)
     r = reduced_cost_coefficient(params)
     q0 = closed_form.feedback_rate(tau, state.spread, state.y, params)
-    v_h = max(error_bounds.variance_spread(tau, params)
-              - error_bounds.variance_spread(h, params), 0.0)
     if v_h == 0.0:
         return float(q0)
     m = float(error_bounds.mean_spread(tau, state.spread, state.y, params))
@@ -138,12 +140,13 @@ def composite_delay_policy(params: ModelParams, h: float,
     """
     _check_delay(h, params)
     production_time = params.horizon - h
+    pure = replace(params, beta=None)
 
     def rate_rule(s, x, y, d):
         tau = params.horizon - s
         if s < production_time:
             return closed_form.feedback_rate(tau, d - x, y, params)
-        return closed_form.feedback_rate_pure_trader(tau, d - x, y, params)
+        return closed_form.feedback_rate(tau, d - x, y, pure)
 
     def production_rule(spread, y):
         return production_rule_delay(spread, y, params, h, constrained)

@@ -27,8 +27,10 @@ from scipy.stats import norm
 from .model import JumpParams, ModelParams, reduced_cost_coefficient
 
 #: Switch point between direct evaluation of psi and its tail expansion.
-#: Direct evaluation loses ~z^4/2 in relative accuracy to cancellation
-#: (still ~1e-11 at z = 26); the 6-term asymptotic series is better there.
+#: Direct evaluation loses relative accuracy to cancellation as z grows:
+#: against 50-digit mpmath its relative error is 7e-11 on [0, 10], 4.5e-9
+#: on [10, 20] and 2.6e-8 on [20, 26].  Past 26 the 6-term asymptotic
+#: series is better (1e-11).
 _TAIL_Z = 26.0
 
 # psi(z) / phi(z) ~ (2/z^3) (1 - 6/z^2 + 45/z^4 - 420/z^6 + 4725/z^8 - ...)

@@ -36,6 +36,12 @@ _JUMP_KEYS = {
 }
 
 
+def _check_finite(record, names) -> None:
+    for name in names:
+        if not math.isfinite(getattr(record, name)):
+            raise ValueError(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Model constants in the canonical unit system (seconds, MW, EUR).
@@ -76,8 +82,10 @@ class ModelParams:
     def __post_init__(self) -> None:
         # Normalise an explicit infinity into the pure-trader flag so that
         # downstream arithmetic never sees a non-finite beta.
-        if self.beta is not None and math.isinf(self.beta):
+        if self.beta == math.inf:
             object.__setattr__(self, "beta", None)
+        _check_finite(self, ("sigma0", "sigma_d", "eta", "mu", "nu", "gamma",
+                             "rho", "horizon"))
         if self.beta is not None and not self.beta > 0:
             raise ValueError("beta must be positive (or None for pure trader)")
         if not self.gamma > 0:
@@ -123,6 +131,8 @@ class JumpParams:
     pi_minus: float         # EUR * MW^-1
 
     def __post_init__(self) -> None:
+        _check_finite(self, ("lam", "p_plus", "delta_plus", "delta_minus",
+                             "pi_plus", "pi_minus"))
         if self.lam < 0:
             raise ValueError("jump intensity must be nonnegative")
         if not 0.0 <= self.p_plus <= 1.0:
@@ -169,6 +179,7 @@ class MarketState:
     d: float
 
     def __post_init__(self) -> None:
+        _check_finite(self, ("t", "x", "y", "d"))
         if self.t < 0:
             raise ValueError("time must be nonnegative")
 

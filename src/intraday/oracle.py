@@ -19,7 +19,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import closed_form, error_bounds, simulate
-from .model import JumpParams, ModelParams, reduced_cost_coefficient
+from .model import (JumpParams, MarketState, ModelParams,
+                    reduced_cost_coefficient, terminal_cost)
 
 #: Relative tolerance of the closed-form comparison, and its relaxation in
 #: the stiff near-degenerate regime (gamma ~ 1e-10), where the Riccati
@@ -150,13 +151,8 @@ def compare_with_closed_form(solution: OdeSolution, params: ModelParams,
     """
     closed = np.empty_like(solution.coeffs)
     for i, tau in enumerate(solution.tau):
-        if jumps is None:
-            c = closed_form.riccati_coefficients(float(tau), params)
-            closed[i] = (c.a, c.b, c.f, c.g, c.h, c.k)
-        else:
-            c = closed_form.jump_riccati_coefficients(float(tau), params, jumps)
-            closed[i] = (c.base.a, c.base.b, c.base.f,
-                         c.g_lambda, c.h_lambda, c.k_lambda)
+        c = closed_form.jump_riccati_coefficients(float(tau), params, jumps)
+        closed[i] = (c.a, c.b, c.f, c.g, c.h, c.k)
     scales = np.maximum(np.abs(closed).max(axis=0), 1e-30)
     errors = np.abs(solution.coeffs - closed).max(axis=0) / scales
     names = ("a", "b", "f", "g", "h", "k")
@@ -232,7 +228,7 @@ def optimality_probe(params: ModelParams, jumps: JumpParams | None,
     base = simulate.sample_paths(params, jumps, base_policy, n_paths, dt, seed,
                                  d0=d0, y0=y0, record_every=None)
     base_cost = base.running_cost + np.asarray(
-        _terminal(base, params), dtype=float)
+        terminal_cost(base.terminal_spread, base.xi, params), dtype=float)
     results = []
     for name, make_profile in PROBE_PROFILES.items():
         profile = make_profile(params.horizon)
@@ -242,18 +238,14 @@ def optimality_probe(params: ModelParams, jumps: JumpParams | None,
             paths = simulate.sample_paths(params, jumps, policy, n_paths, dt,
                                           seed, d0=d0, y0=y0, record_every=None)
             cost = paths.running_cost + np.asarray(
-                _terminal(paths, params), dtype=float)
+                terminal_cost(paths.terminal_spread, paths.xi, params),
+                dtype=float)
             diff = cost - base_cost
             stderr = float(diff.std(ddof=1) / math.sqrt(n_paths))
             results.append(ProbeResult(profile=name, epsilon=eps,
                                        mean_increase=float(diff.mean()),
                                        stderr=stderr))
     return results
-
-
-def _terminal(paths: simulate.PathSet, params: ModelParams):
-    from .model import terminal_cost
-    return terminal_cost(paths.terminal_spread, paths.xi, params)
 
 
 def verification_report(params: ModelParams, jumps: JumpParams | None = None,
@@ -324,7 +316,6 @@ def verification_report(params: ModelParams, jumps: JumpParams | None = None,
             "passed": drift.contains_expected(3.0),
         }
 
-        from .model import MarketState
         state0 = MarketState(t=0.0, x=0.0, y=y0, d=d0)
         value = closed_form.value_aux_jump(state0, params, jumps)
         cost = simulate.estimate_cost(paths, params)
@@ -340,7 +331,6 @@ def verification_report(params: ModelParams, jumps: JumpParams | None = None,
 
 
 def _random_state(rng: np.random.Generator, params: ModelParams):
-    from .model import MarketState
     return MarketState(t=0.0,
                        x=float(rng.uniform(-1e4, 1e4)),
                        y=float(rng.uniform(-100.0, 200.0)),

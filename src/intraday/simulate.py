@@ -14,15 +14,14 @@ rule sees the post-jump state from that node onward.
 
 Randomness comes from a counter-based generator (Philox) keyed by
 ``(seed, path_id, stream_id)`` with separate streams for W, W_perp, jump
-times and jump signs, so results are bit-identical for a fixed seed
-regardless of how paths are chunked across workers.
+times and jump signs, so results are bit-identical for a fixed seed,
+independent of batch size: a path's trajectory depends only on its id.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -31,8 +30,8 @@ import numpy as np
 from . import closed_form, model
 from .model import JumpParams, ModelParams
 
-#: Paths are processed in fixed-size blocks regardless of worker count so
-#: that parallel execution cannot change the result.
+#: Paths are processed in fixed-size blocks to bound the size of the
+#: per-chunk noise arrays.
 _CHUNK = 2048
 
 #: Streams per path in the counter-based RNG keying.
@@ -132,10 +131,11 @@ def optimal_policy(params: ModelParams, jumps: JumpParams | None = None,
 
 def pure_trader_policy(params: ModelParams) -> Policy:
     """Pure-trader policy: no production, rate with r replaced by eta."""
+    pure = replace(params, beta=None)
 
     def rate_rule(s, x, y, d):
         tau = params.horizon - s
-        return closed_form.feedback_rate_pure_trader(tau, d - x, y, params)
+        return closed_form.feedback_rate(tau, d - x, y, pure)
 
     return Policy(rate_rule=rate_rule, production_time=params.horizon,
                   production_rule=lambda spread, y: np.zeros_like(
@@ -271,7 +271,7 @@ def _simulate_chunk(path_ids: np.ndarray, params: ModelParams,
 def sample_paths(params: ModelParams, jumps: JumpParams | None, policy: Policy,
                  n_paths: int, dt: float, seed: int, *,
                  d0: float = 0.0, y0: float = 0.0, x0: float = 0.0,
-                 n_workers: int = 1, record_every: Optional[int] = 1,
+                 record_every: Optional[int] = 1,
                  allow_coarse_dt: bool = False) -> PathSet:
     """Simulate ``n_paths`` Euler trajectories under a policy.
 
@@ -320,21 +320,12 @@ def sample_paths(params: ModelParams, jumps: JumpParams | None, policy: Policy,
     arrays["xi"] = np.empty(n_paths)
     arrays["running_cost"] = np.empty(n_paths)
 
-    chunks = [np.arange(start, min(start + _CHUNK, n_paths))
-              for start in range(0, n_paths, _CHUNK)]
-
-    def run(chunk: np.ndarray) -> None:
-        out = dict(arrays, offset=int(chunk[0]), d0=d0, y0=y0, x0=x0,
+    for start in range(0, n_paths, _CHUNK):
+        chunk = np.arange(start, min(start + _CHUNK, n_paths))
+        out = dict(arrays, offset=start, d0=d0, y0=y0, x0=x0,
                    production_index=production_index)
         _simulate_chunk(chunk, params, jumps, policy, dt, seed, n_steps,
                         recorded, out)
-
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(run, chunks))
-    else:
-        for chunk in chunks:
-            run(chunk)
 
     return PathSet(times=recorded * dt, x=arrays["x"], y=arrays["y"],
                    d=arrays["d"], p_hat=arrays["p_hat"], q=arrays["q"],

@@ -371,7 +371,7 @@ class TestErrorBoundConsistency:
                                          constrained=False)
         paths = simulate.sample_paths(table_params, None, policy, 400_000,
                                       60.0, SEED_BOUND, d0=D0, y0=20.0,
-                                      record_every=None, n_workers=4)
+                                      record_every=None)
         r = reduced_cost_coefficient(table_params)
         prefactor = table_params.eta * r / (2.0 * table_params.beta)
         spread = paths.terminal_spread
@@ -528,33 +528,3 @@ class TestDelayIdentities:
         post, post_se = segment_slope(delay_paths.times >= decision)
         assert abs(pre - q0) <= 3.0 * pre_se, (pre, pre_se, q0)
         assert abs(post - q0_h) <= 3.0 * post_se, (post, post_se, q0_h)
-
-
-# ---------------------------------------------------------------------------
-# 10. Determinism across worker counts.
-# ---------------------------------------------------------------------------
-
-class TestDeterminism:
-    def test_arrays_identical_across_workers(self, sim_params):
-        policy = simulate.optimal_policy(sim_params, None, constrained=False)
-        # 4196 paths spans three scheduling chunks
-        runs = [simulate.sample_paths(sim_params, None, policy, 4196, 60.0,
-                                      17, d0=D0, y0=Y0, record_every=120,
-                                      n_workers=w)
-                for w in (1, 2, 8)]
-        for other in runs[1:]:
-            for name in ("x", "y", "d", "p_hat", "q", "jump_flag", "xi",
-                         "running_cost"):
-                assert np.array_equal(getattr(runs[0], name),
-                                      getattr(other, name)), name
-
-    def test_csv_bytes_identical_across_workers(self, tmp_path):
-        outputs = []
-        for workers in (1, 2, 8):
-            out = tmp_path / f"w{workers}"
-            assert cli.main(["simulate", "--scenario", "jump-negative",
-                             "--paths", "40", "--dt", "60",
-                             "--workers", str(workers),
-                             "--out", str(out)]) == 0
-            outputs.append((out / "paths.csv").read_bytes())
-        assert outputs[0] == outputs[1] == outputs[2]

@@ -118,6 +118,46 @@ class TestDelayCommand:
         assert "no delay configured" in capsys.readouterr().err
 
 
+class TestUsageErrors:
+    """argparse's own exit code 2 would read as a verification failure."""
+
+    @pytest.mark.parametrize("argv", [
+        ["bogus"],
+        ["simulate", "--paths", "abc"],
+        ["simulate", "--scenario", "nojump", "--workers", "2"],
+        [],
+    ])
+    def test_usage_error_exits_1(self, argv, capsys):
+        assert run(argv) == 1
+        assert "usage:" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        assert run(["errorbound", "--help"]) == 0
+        assert "usage:" in capsys.readouterr().out
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("argv", [
+        ["errorbound", "--d0", "nan"],
+        ["errorbound", "--config", "sim-jump-neg", "--y0", "inf"],
+        ["delay", "--x0=-inf"],
+        ["simulate", "--paths", "1", "--dt", "3600", "--d0", "nan"],
+    ])
+    def test_non_finite_state_is_validation_error(self, argv, tmp_path,
+                                                  capsys):
+        assert run(argv + ["--out", str(tmp_path)]) == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "paths.csv").exists()
+
+    def test_nan_in_config_is_validation_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"sigma0": 0.016, "sigma_d": 16.7, "beta": 0.002, '
+                       '"eta": 100, "mu": NaN, "nu": 4e-5, "gamma": 2.22, '
+                       '"rho": 0.8, "horizon_hours": 24}')
+        assert run(["errorbound", "--config", str(bad)]) == 1
+        assert "mu must be finite" in capsys.readouterr().err
+
+
 class TestConfigHandling:
     def test_unknown_config_name(self, capsys):
         assert run(["tables", "--config", "no-such-preset"]) == 1

@@ -235,17 +235,55 @@ class TestJumpCollapse:
         c = closed_form.jump_riccati_coefficients(
             12 * HOUR, sim_params_eta200, jumps_negative)
         base = closed_form.riccati_coefficients(12 * HOUR, sim_params_eta200)
-        assert (c.base.a, c.base.b, c.base.f) == (base.a, base.b, base.f)
+        assert (c.a, c.b, c.f) == (base.a, base.b, base.f)
 
     def test_assemble_matches_components(self, sim_params_eta200,
                                          jumps_positive):
         c = closed_form.jump_riccati_coefficients(
             6 * HOUR, sim_params_eta200, jumps_positive)
         spread, y = 20_000.0, 60.0
-        expected = (c.base.a * spread**2 + c.base.b * y**2
-                    + c.base.f * spread * y + c.g_lambda * spread
-                    + c.h_lambda * y + c.k_lambda)
+        expected = (c.a * spread**2 + c.b * y**2 + c.f * spread * y
+                    + c.g * spread + c.h * y + c.k)
         assert c.assemble(spread, y) == pytest.approx(expected, rel=1e-14)
+
+
+class TestJumpRateForms:
+    """The jump rate is the no-jump rate at jump-shifted arguments plus
+    ``lam pi tau / (4 gamma)``; the evaluated additive form must agree."""
+
+    @staticmethod
+    def _check(p, jumps, tau, d, y):
+        r = reduced_cost_coefficient(p)
+        lam, delta, pi = jumps.lam, jumps.delta, jumps.pi
+        den = (r + p.nu) * tau + 2.0 * p.gamma
+        q = closed_form.feedback_rate_jump(tau, d, y, p, jumps)
+        shifted = (closed_form.feedback_rate(tau, d + lam * delta * tau,
+                                             y + 0.5 * lam * pi * tau, p)
+                   + lam * pi * tau / (4.0 * p.gamma))
+        # The forms cancel to near zero when the rate changes sign, so the
+        # comparison is scaled by the size of the summands, not the result.
+        scale = (np.abs(closed_form.feedback_rate(tau, d, y, p))
+                 + abs(lam * tau * (r * delta - 0.5 * pi) / den)
+                 + abs(lam * pi * tau / (4.0 * p.gamma)) + 1e-12)
+        assert np.all(np.abs(q - shifted) <= 1e-9 * scale)
+
+    @given(tau=taus(), d=spreads(), y=prices(), p_plus=st.floats(0.0, 1.0))
+    @settings(max_examples=100, deadline=None)
+    def test_shifted_form_scalar(self, sim_params_eta200, tau, d, y, p_plus):
+        jumps = JumpParams(lam=1.5 / DAY, p_plus=p_plus, delta_plus=1500.0,
+                           delta_minus=-1500.0, pi_plus=10.0, pi_minus=-10.0)
+        self._check(sim_params_eta200, jumps, tau, d, y)
+
+    @given(tau=taus(),
+           points=st.lists(st.tuples(spreads(), prices()), min_size=1,
+                           max_size=16),
+           p_plus=st.floats(0.0, 1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_shifted_form_arrays(self, table_params, tau, points, p_plus):
+        jumps = JumpParams(lam=1.5 / DAY, p_plus=p_plus, delta_plus=1500.0,
+                           delta_minus=-700.0, pi_plus=10.0, pi_minus=-4.0)
+        d, y = (np.array(column) for column in zip(*points))
+        self._check(table_params, jumps, tau, d, y)
 
 
 class TestPureTrader:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from intraday import closed_form, delay, error_bounds
 from intraday.model import (
@@ -55,12 +55,17 @@ class TestDelayedValue:
     @given(x=st.floats(-1e4, 1e4), y=st.floats(-100.0, 500.0),
            d=st.floats(-1e4, 1e5), h=st.floats(0.0, 24 * HOUR))
     @settings(max_examples=100, deadline=None)
+    @example(x=0.0, y=266.0, d=0.0, h=0.0625)
     def test_premium_is_state_independent(self, sim_params_eta200, x, y, d, h):
         state = MarketState(t=0.0, x=x, y=y, d=d)
-        premium = (delay.value_aux_delay(state, sim_params_eta200, h)
-                   - closed_form.value_aux(state, sim_params_eta200))
+        delayed = delay.value_aux_delay(state, sim_params_eta200, h)
+        premium = delayed - closed_form.value_aux(state, sim_params_eta200)
+        # When K_h is small next to v0 the subtraction is exact (Sterbenz),
+        # so the only error is the rounding of v0 + K_h, up to half an ulp
+        # of the sum: no tolerance below ulp(v0 + K_h) can be met.
         assert premium == pytest.approx(
-            delay.delay_constant(h, sim_params_eta200), rel=1e-12, abs=1e-9)
+            delay.delay_constant(h, sim_params_eta200), rel=1e-12,
+            abs=math.ulp(delayed))
 
 
 class TestDelayedProduction:

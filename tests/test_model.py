@@ -82,6 +82,34 @@ class TestValidation:
         with pytest.raises(ValueError):
             JumpParams(**base)
 
+    @given(field=st.sampled_from(["sigma0", "sigma_d", "beta", "eta", "mu",
+                                  "nu", "gamma", "rho", "horizon"]),
+           value=st.sampled_from([math.nan, math.inf, -math.inf]))
+    def test_non_finite_params_rejected(self, field, value):
+        if field == "beta" and value == math.inf:
+            assert make_params(beta=value).pure_trader
+            return
+        with pytest.raises(ValueError):
+            make_params(**{field: value})
+
+    @given(field=st.sampled_from(["lam", "p_plus", "delta_plus",
+                                  "delta_minus", "pi_plus", "pi_minus"]),
+           value=st.sampled_from([math.nan, math.inf, -math.inf]))
+    def test_non_finite_jumps_rejected(self, field, value):
+        base = dict(lam=1.5 / DAY, p_plus=0.5, delta_plus=1500.0,
+                    delta_minus=-1500.0, pi_plus=10.0, pi_minus=-10.0)
+        base[field] = value
+        with pytest.raises(ValueError, match="finite"):
+            JumpParams(**base)
+
+    @given(field=st.sampled_from(["t", "x", "y", "d"]),
+           value=st.sampled_from([math.nan, math.inf, -math.inf]))
+    def test_non_finite_state_rejected(self, field, value):
+        base = dict(t=0.0, x=0.0, y=50.0, d=5e4)
+        base[field] = value
+        with pytest.raises(ValueError):
+            MarketState(**base)
+
     def test_zero_size_jumps_allowed(self):
         jumps = JumpParams(lam=1.5 / DAY, p_plus=1.0, delta_plus=0.0,
                            delta_minus=0.0, pi_plus=0.0, pi_minus=0.0)
@@ -213,6 +241,14 @@ class TestLoadParamFile:
         payload = dict(BASE_CONFIG, eta="high")
         with pytest.raises(ValueError, match="must be a number"):
             load_param_file(write_config(tmp_path, payload))
+
+    @pytest.mark.parametrize("key", ["mu", "nu", "horizon_hours"])
+    def test_non_finite_value_rejected(self, tmp_path, key):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(dict(BASE_CONFIG, **{key: math.nan})))
+        assert "NaN" in path.read_text()
+        with pytest.raises(ValueError, match="finite"):
+            load_param_file(path)
 
     def test_non_object_rejected(self, tmp_path):
         path = tmp_path / "params.json"

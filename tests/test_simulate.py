@@ -156,20 +156,6 @@ class TestDeterminism:
         assert np.array_equal(small.q, large.q[:12])
         assert np.array_equal(small.running_cost, large.running_cost[:12])
 
-    def test_workers_do_not_change_results(self, sim_params_eta200,
-                                           jumps_negative):
-        policy = simulate.optimal_policy(sim_params_eta200, jumps_negative,
-                                         constrained=False)
-        runs = [simulate.sample_paths(sim_params_eta200, jumps_negative,
-                                      policy, 2100, 60.0, 13, d0=5e4,
-                                      y0=50.0, record_every=120,
-                                      n_workers=w)
-                for w in (1, 4)]
-        for name in ("x", "y", "d", "p_hat", "q", "jump_flag", "xi",
-                     "running_cost"):
-            assert np.array_equal(getattr(runs[0], name),
-                                  getattr(runs[1], name))
-
 
 class TestRecording:
     def test_thinning_is_a_subsample(self, sim_params):
