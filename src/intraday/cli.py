@@ -1,23 +1,29 @@
 """Command-line interface: tables, simulations, verification, bounds.
 
-Subcommands
------------
+Subcommands, each with the only options it accepts
+--------------------------------------------------
 tables      Emit the three benchmark tables (varying horizon, demand,
             initial price) as CSV files.
+            --config --out
 simulate    Sample Euler trajectories under the optimal policy for a
             scenario (nojump | jump-positive | jump-negative | delay) and
             write them as CSV.
+            --config --scenario --seed --paths --dt --out --d0 --y0 --x0
 verify      Run the independent verification suite (ODE oracle, quadrature,
-            martingale and cost checks); nonzero exit on any failure.
+            martingale and cost checks); nonzero exit on any failure.  The
+            simulated paths start with no inventory.
+            --config --seed --paths --dt --out --d0 --y0
 errorbound  Print the approximation-error bound and shortfall probability
             for a configured initial state.
+            --config --seed --d0 --y0 --x0
 delay       Print the delay constant, delayed value and bound, production
             quantity and post-decision mean rate.
+            --config --delay-hours --d0 --y0 --x0
 
 ``--config`` accepts either a bundled preset name (table13, sim-nojump,
 sim-jump-pos, sim-jump-neg, sim-delay) or a path to a JSON parameter file.
-Exit codes: 0 success, 1 validation or usage error, 2 verification
-failure, 3 I/O error.
+Any other option is a usage error.  Exit codes: 0 success, 1 validation
+or usage error, 2 verification failure, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -137,11 +143,10 @@ def cmd_simulate(args) -> int:
                          f"of {', '.join(SCENARIO_PRESETS)}")
     params, jumps, delay_seconds = load_param_file(
         resolve_config(args.config, default or "sim-nojump"))
-    state = _initial_state(args)
     policy = _build_policy(params, jumps, delay_seconds)
     paths = simulate.sample_paths(
         params, jumps, policy, args.paths, args.dt, args.seed,
-        d0=state.d, y0=state.y, x0=state.x)
+        d0=args.d0, y0=args.y0, x0=args.x0)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     destination = simulate.export_csv(paths, out / "paths.csv")
@@ -155,10 +160,9 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     params, jumps, _ = load_param_file(
         resolve_config(args.config, "sim-nojump"))
-    state = _initial_state(args)
     report = oracle.verification_report(
         params, jumps, seed=args.seed, n_paths=args.paths, dt=args.dt,
-        d0=state.d, y0=state.y)
+        d0=args.d0, y0=args.y0)
     text = oracle.format_report(report)
     print(text, end="")
     if args.out:
@@ -220,6 +224,20 @@ def cmd_delay(args) -> int:
     return 0
 
 
+#: Shared options; each subcommand registers only the ones it reads.
+_OPTIONS = {
+    "--config": dict(default=None,
+                     help="bundled preset name or parameter file path"),
+    "--seed": dict(type=int, default=DEFAULT_SEED, help="in [0, 2**64)"),
+    "--paths": dict(type=int, default=1),
+    "--dt": dict(type=float, default=60.0, help="simulation step, seconds"),
+    "--out": dict(default="out", help="output directory"),
+    "--d0": dict(type=float, default=DEFAULT_D0),
+    "--y0": dict(type=float, default=DEFAULT_Y0),
+    "--x0": dict(type=float, default=DEFAULT_X0),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="intraday",
@@ -227,41 +245,27 @@ def build_parser() -> argparse.ArgumentParser:
                     "simulation, verification, error bounds.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", default=None,
-                       help="bundled preset name or parameter file path")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--paths", type=int, default=1)
-        p.add_argument("--dt", type=float, default=60.0,
-                       help="simulation step, seconds")
-        p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--d0", type=float, default=DEFAULT_D0)
-        p.add_argument("--y0", type=float, default=DEFAULT_Y0)
-        p.add_argument("--x0", type=float, default=DEFAULT_X0)
+    def add(name, func, summary, options):
+        p = sub.add_parser(name, help=summary)
+        for option in options.split():
+            p.add_argument(option, **_OPTIONS[option])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("tables", help="emit benchmark tables as CSV")
-    common(p)
-    p.set_defaults(func=cmd_tables)
-
-    p = sub.add_parser("simulate", help="sample trajectories as CSV")
-    common(p)
+    add("tables", cmd_tables, "emit benchmark tables as CSV", "--config --out")
+    p = add("simulate", cmd_simulate, "sample trajectories as CSV",
+            "--config --seed --paths --dt --out --d0 --y0 --x0")
     p.add_argument("--scenario", default=None,
                    help="named scenario (selects a bundled preset): "
                         + " | ".join(sorted(SCENARIO_PRESETS)))
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("verify", help="run the verification suite")
-    common(p)
-    p.set_defaults(func=cmd_verify, paths=2000)
-
-    p = sub.add_parser("errorbound", help="print the error bound")
-    common(p)
-    p.set_defaults(func=cmd_errorbound)
-
-    p = sub.add_parser("delay", help="print delay quantities")
-    common(p)
+    p = add("verify", cmd_verify, "run the verification suite",
+            "--config --seed --paths --dt --out --d0 --y0")
+    p.set_defaults(paths=2000)
+    add("errorbound", cmd_errorbound, "print the error bound",
+        "--config --seed --d0 --y0 --x0")
+    p = add("delay", cmd_delay, "print delay quantities",
+            "--config --d0 --y0 --x0")
     p.add_argument("--delay-hours", type=float, default=None)
-    p.set_defaults(func=cmd_delay)
     return parser
 
 

@@ -22,9 +22,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
-from .model import JumpParams, ModelParams, reduced_cost_coefficient
+from .model import (JumpParams, ModelParams, check_seed,
+                    reduced_cost_coefficient)
 
 #: Switch point between direct evaluation of psi and its tail expansion.
 #: Direct evaluation loses relative accuracy to cancellation as z grows:
@@ -39,6 +40,11 @@ _PSI_TAIL = (1.0, -6.0, 45.0, -420.0, 4725.0, -62370.0)
 _PSI_TILDE_TAIL = (1.0, -3.0, 15.0, -105.0, 945.0, -10395.0)
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _pdf(z):
+    """Standard normal density, the formula of ``scipy.stats.norm.pdf``."""
+    return np.exp(-z**2 / 2.0) / np.sqrt(2.0 * np.pi)
 
 
 @dataclass(frozen=True)
@@ -74,9 +80,9 @@ def _tail_series(z, coefficients):
 def psi(z):
     """psi(z) = (z^2 + 1) Phi(-z) - z phi(z); nonnegative and decreasing."""
     z = np.asarray(z, dtype=float)
-    direct = (z**2 + 1.0) * norm.sf(z) - z * norm.pdf(z)
+    direct = (z**2 + 1.0) * ndtr(-z) - z * _pdf(z)
     tail_z = np.maximum(z, _TAIL_Z)  # avoid overflow warnings off-branch
-    tail = norm.pdf(tail_z) * 2.0 / tail_z**3 * _tail_series(tail_z, _PSI_TAIL)
+    tail = _pdf(tail_z) * 2.0 / tail_z**3 * _tail_series(tail_z, _PSI_TAIL)
     out = np.where(z < _TAIL_Z, direct, tail)
     return out if out.ndim else float(out)
 
@@ -85,7 +91,7 @@ def log_psi(z):
     """Natural log of psi(z), valid far beyond the underflow point of psi."""
     z = np.asarray(z, dtype=float)
     with np.errstate(divide="ignore"):
-        direct = np.log(np.maximum((z**2 + 1.0) * norm.sf(z) - z * norm.pdf(z),
+        direct = np.log(np.maximum((z**2 + 1.0) * ndtr(-z) - z * _pdf(z),
                                    0.0))
     tail_z = np.maximum(z, _TAIL_Z)
     tail = (-0.5 * tail_z**2 - _LOG_SQRT_2PI
@@ -97,9 +103,9 @@ def log_psi(z):
 def psi_tilde(z):
     """psi_tilde(z) = phi(z) - z Phi(-z); nonnegative for all z."""
     z = np.asarray(z, dtype=float)
-    direct = norm.pdf(z) - z * norm.sf(z)
+    direct = _pdf(z) - z * ndtr(-z)
     tail_z = np.maximum(z, _TAIL_Z)
-    tail = (norm.pdf(tail_z) / tail_z**2
+    tail = (_pdf(tail_z) / tail_z**2
             * _tail_series(tail_z, _PSI_TILDE_TAIL))
     out = np.where(z < _TAIL_Z, direct, tail)
     return out if out.ndim else float(out)
@@ -157,7 +163,7 @@ def _report(m: float, v: float, prefactor: float) -> ErrorBoundReport:
         prob = 1.0 if m < 0 else (0.5 if m == 0 else 0.0)
         return ErrorBoundReport(0.0, prob, moments)
     z = m / math.sqrt(v)
-    return ErrorBoundReport(float(prefactor * v * psi(z)), float(norm.sf(z)),
+    return ErrorBoundReport(float(prefactor * v * psi(z)), float(ndtr(-z)),
                             moments)
 
 
@@ -240,6 +246,7 @@ def error_bound_jump(tau, spread, y, params: ModelParams,
     The expectation over S is estimated by Monte Carlo (closed form when
     p- = 0 or lam = 0, in which case the standard error is zero).
     """
+    check_seed(seed)
     if jumps is None or jumps.lam == 0.0:
         return error_bound(tau, spread, y, params)
     if n_samples < 1000:
@@ -271,7 +278,7 @@ def error_bound_jump(tau, spread, y, params: ModelParams,
         np.add.at(sums, np.repeat(np.arange(size), counts), terms)
         z = (m_l + sums) / sqrt_v
         bounds[start:start + size] = prefactor * v * psi(z)
-        probs[start:start + size] = norm.sf(z)
+        probs[start:start + size] = ndtr(-z)
     stderr = float(bounds.std(ddof=1) / math.sqrt(n_samples))
     return ErrorBoundReport(float(bounds.mean()), float(probs.mean()),
                             SpreadMoments(mean=m_l, variance=v), stderr)

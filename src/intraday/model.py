@@ -42,6 +42,12 @@ def _check_finite(record, names) -> None:
             raise ValueError(f"{name} must be finite")
 
 
+def check_seed(seed: int) -> None:
+    """Reject a seed that does not fit the unsigned 64-bit Philox key."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Model constants in the canonical unit system (seconds, MW, EUR).

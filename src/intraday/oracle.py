@@ -19,7 +19,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import closed_form, error_bounds, simulate
-from .model import (JumpParams, MarketState, ModelParams,
+from .model import (JumpParams, MarketState, ModelParams, check_seed,
                     reduced_cost_coefficient, terminal_cost)
 
 #: Relative tolerance of the closed-form comparison, and its relaxation in
@@ -261,6 +261,8 @@ def verification_report(params: ModelParams, jumps: JumpParams | None = None,
     simulated optimal rate, and the Monte Carlo cost vs the closed-form
     value.  Each check carries ``passed`` plus its measured numbers.
     """
+    check_seed(seed)
+    state0 = MarketState(t=0.0, x=0.0, y=y0, d=d0)
     r = reduced_cost_coefficient(params)
     stiff = params.horizon / (2.0 * params.gamma / (r + params.nu)) > _STIFF_RATIO
     rtol = ODE_RTOL_STIFF if stiff else ODE_RTOL
@@ -316,7 +318,6 @@ def verification_report(params: ModelParams, jumps: JumpParams | None = None,
             "passed": drift.contains_expected(3.0),
         }
 
-        state0 = MarketState(t=0.0, x=0.0, y=y0, d=d0)
         value = closed_form.value_aux_jump(state0, params, jumps)
         cost = simulate.estimate_cost(paths, params)
         checks["monte_carlo_cost"] = {

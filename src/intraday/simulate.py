@@ -28,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import closed_form, model
-from .model import JumpParams, ModelParams
+from .model import JumpParams, MarketState, ModelParams, check_seed
 
 #: Paths are processed in fixed-size blocks to bound the size of the
 #: per-chunk noise arrays.
@@ -49,7 +49,8 @@ class Policy:
     a trading rate in MW/s; after the production time the inventory ``x``
     passed in includes the produced quantity.  ``production_rule(spread, y)``
     is invoked exactly once per path at the grid node nearest the
-    production time from below.
+    production time from below.  Either rule may return a float, which
+    applies to every path.
     """
 
     rate_rule: Callable
@@ -138,16 +139,14 @@ def pure_trader_policy(params: ModelParams) -> Policy:
         return closed_form.feedback_rate(tau, d - x, y, pure)
 
     return Policy(rate_rule=rate_rule, production_time=params.horizon,
-                  production_rule=lambda spread, y: np.zeros_like(
-                      np.asarray(spread, dtype=float)))
+                  production_rule=lambda spread, y: 0.0)
 
 
 def zero_policy(params: ModelParams) -> Policy:
     """No trading, no production; useful for analytic cross-checks."""
-    return Policy(rate_rule=lambda s, x, y, d: np.zeros_like(np.asarray(x, dtype=float)),
+    return Policy(rate_rule=lambda s, x, y, d: 0.0,
                   production_time=params.horizon,
-                  production_rule=lambda spread, y: np.zeros_like(
-                      np.asarray(spread, dtype=float)))
+                  production_rule=lambda spread, y: 0.0)
 
 
 def perturbed_policy(base: Policy, epsilon: float, profile: Callable) -> Policy:
@@ -161,8 +160,7 @@ def perturbed_policy(base: Policy, epsilon: float, profile: Callable) -> Policy:
 
 
 def _stream(seed: int, path_id: int, stream_id: int) -> np.random.Generator:
-    key = np.array([np.uint64(seed), np.uint64((path_id << 3) + stream_id)],
-                   dtype=np.uint64)
+    key = np.array([seed, (path_id << 3) + stream_id], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -170,92 +168,64 @@ def _draw_jumps(seed: int, path_id: int, jumps: JumpParams,
                 horizon: float) -> tuple[np.ndarray, np.ndarray]:
     """Exact exponential jump times on [0, horizon) and +1/-1 signs."""
     gen_t = _stream(seed, path_id, _STREAM_JUMP_TIMES)
-    times = []
-    t = 0.0
-    while True:
-        block = gen_t.exponential(1.0 / jumps.lam, size=8)
-        for gap in block:
-            t += gap
-            if t >= horizon:
-                break
-            times.append(t)
-        if t >= horizon:
-            break
-    times = np.asarray(times)
-    gen_s = _stream(seed, path_id, _STREAM_JUMP_SIGNS)
-    uniforms = gen_s.random(size=times.size)
-    signs = np.where(uniforms < jumps.p_plus, 1, -1)
-    return times, signs
+    gaps = gen_t.exponential(1.0 / jumps.lam, size=8)
+    # cumsum adds in order, as the running sum t += gap
+    while (times := np.cumsum(gaps))[-1] < horizon:
+        gaps = np.append(gaps, gen_t.exponential(1.0 / jumps.lam, size=8))
+    times = times[times < horizon]
+    uniforms = _stream(seed, path_id, _STREAM_JUMP_SIGNS).random(size=times.size)
+    return times, np.where(uniforms < jumps.p_plus, 1, -1)
 
 
-def _simulate_chunk(path_ids: np.ndarray, params: ModelParams,
-                    jumps: JumpParams | None, policy: Policy, dt: float,
-                    seed: int, n_steps: int, recorded: np.ndarray,
-                    out: dict) -> None:
-    n = path_ids.size
-    sqrt_dt = math.sqrt(dt)
-    d0, y0, x0 = out["d0"], out["y0"], out["x0"]
+def _simulate_chunk(paths: PathSet, rows: slice, recorded: list[int],
+                    params: ModelParams, jumps: JumpParams | None,
+                    policy: Policy, start: MarketState) -> None:
+    """Simulate the paths with ids ``rows`` and write them into ``paths``."""
+    n = rows.stop - rows.start
+    dt, seed = paths.dt, paths.seed
+    n_steps = recorded[-1]
 
     dw = np.empty((n, n_steps))
     dw_perp = np.empty((n, n_steps))
-    for i, pid in enumerate(path_ids):
-        dw[i] = _stream(seed, int(pid), _STREAM_W).standard_normal(n_steps)
-        dw_perp[i] = _stream(seed, int(pid), _STREAM_W_PERP).standard_normal(n_steps)
-    dw *= sqrt_dt
-    dw_perp *= sqrt_dt
-    db = params.rho * dw + math.sqrt(1.0 - params.rho**2) * dw_perp
-
     jump_d = np.zeros((n, n_steps + 1))
     jump_y = np.zeros((n, n_steps + 1))
     flags = np.zeros((n, n_steps + 1), dtype=np.int64)
-    if jumps is not None and jumps.lam > 0.0:
-        for i, pid in enumerate(path_ids):
-            times, signs = _draw_jumps(seed, int(pid), jumps, params.horizon)
-            if times.size == 0:
-                continue
-            # first grid node at or after the exact jump time
-            nodes = np.minimum(np.ceil(times / dt - 1e-12).astype(np.int64),
-                               n_steps)
-            np.add.at(jump_d[i], nodes,
-                      np.where(signs > 0, jumps.delta_plus, jumps.delta_minus))
-            np.add.at(jump_y[i], nodes,
-                      np.where(signs > 0, jumps.pi_plus, jumps.pi_minus))
-            np.add.at(flags[i], nodes, signs)
+    for i, pid in enumerate(range(rows.start, rows.stop)):
+        dw[i] = _stream(seed, pid, _STREAM_W).standard_normal(n_steps)
+        dw_perp[i] = _stream(seed, pid, _STREAM_W_PERP).standard_normal(n_steps)
+        if jumps is None or jumps.lam == 0.0:
+            continue
+        times, signs = _draw_jumps(seed, pid, jumps, params.horizon)
+        # first grid node at or after the exact jump time
+        nodes = np.minimum(np.ceil(times / dt - 1e-12).astype(np.int64), n_steps)
+        np.add.at(jump_d[i], nodes,
+                  np.where(signs > 0, jumps.delta_plus, jumps.delta_minus))
+        np.add.at(jump_y[i], nodes,
+                  np.where(signs > 0, jumps.pi_plus, jumps.pi_minus))
+        np.add.at(flags[i], nodes, signs)
+    dw *= math.sqrt(dt)
+    dw_perp *= math.sqrt(dt)
+    db = params.rho * dw + math.sqrt(1.0 - params.rho**2) * dw_perp
 
-    x = np.full(n, x0)
-    y = np.full(n, y0) + jump_y[:, 0]
-    d = np.full(n, d0) + jump_d[:, 0]
-    p_hat = np.full(n, y0) + jump_y[:, 0]
-    xi = np.zeros(n)
+    x = np.full(n, start.x)
+    y = start.y + jump_y[:, 0]
+    d = start.d + jump_d[:, 0]
+    p_hat = y.copy()
+    xi = 0.0  # production quantity, fixed at the production node
     running_cost = np.zeros(n)
-    produced = False
-
-    record_pos = {node: pos for pos, node in enumerate(recorded)}
-    rows = slice(out["offset"], out["offset"] + n)
-
-    def record(node: int, q_now: np.ndarray) -> None:
-        pos = record_pos.get(node)
-        if pos is None:
-            return
-        out["x"][rows, pos] = x
-        out["y"][rows, pos] = y
-        out["d"][rows, pos] = d
-        out["p_hat"][rows, pos] = p_hat
-        out["q"][rows, pos] = q_now
-        out["jump_flag"][rows, pos] = flags[:, node]
-
-    production_index = out["production_index"]
+    pos = 0  # next position in ``recorded``
     for k in range(n_steps + 1):
-        if k == production_index and not produced:
-            xi = np.asarray(policy.production_rule(d - x, y), dtype=float)
-            if xi.ndim == 0:
-                xi = np.full(n, float(xi))
-            produced = True
-        x_eff = x + xi if produced else x
-        q = np.asarray(policy.rate_rule(k * dt, x_eff, y, d), dtype=float)
-        if q.ndim == 0:
-            q = np.full(n, float(q))
-        record(k, q)
+        if k == paths.production_index:
+            xi = policy.production_rule(d - x, y)
+        q = policy.rate_rule(k * dt, x + xi, y, d)
+        if k == recorded[pos]:
+            paths.x[rows, pos] = x
+            paths.y[rows, pos] = y
+            paths.d[rows, pos] = d
+            paths.p_hat[rows, pos] = p_hat
+            paths.q[rows, pos] = q
+            paths.jump_flag[rows, pos] = flags[:, k]
+            pos += 1
         if k == n_steps:
             break
         running_cost += q * (y + params.gamma * q) * dt
@@ -264,15 +234,14 @@ def _simulate_chunk(path_ids: np.ndarray, params: ModelParams,
         d = d + params.mu * dt + params.sigma_d * db[:, k] + jump_d[:, k + 1]
         p_hat = p_hat + params.sigma0 * dw[:, k] + jump_y[:, k + 1]
 
-    out["xi"][rows] = xi
-    out["running_cost"][rows] = running_cost
+    paths.xi[rows] = xi
+    paths.running_cost[rows] = running_cost
 
 
 def sample_paths(params: ModelParams, jumps: JumpParams | None, policy: Policy,
                  n_paths: int, dt: float, seed: int, *,
                  d0: float = 0.0, y0: float = 0.0, x0: float = 0.0,
-                 record_every: Optional[int] = 1,
-                 allow_coarse_dt: bool = False) -> PathSet:
+                 record_every: Optional[int] = 1) -> PathSet:
     """Simulate ``n_paths`` Euler trajectories under a policy.
 
     Parameters
@@ -281,9 +250,9 @@ def sample_paths(params: ModelParams, jumps: JumpParams | None, policy: Policy,
         Record every k-th grid node (the final node is always recorded);
         ``None`` keeps only the terminal node.  The cost integral is
         always accumulated at full resolution.
-    allow_coarse_dt : bool
-        Override the rejection of dt > 60 s when jumps are present.
     """
+    check_seed(seed)
+    start = MarketState(t=0.0, x=x0, y=y0, d=d0)
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
     if dt <= 0:
@@ -291,13 +260,8 @@ def sample_paths(params: ModelParams, jumps: JumpParams | None, policy: Policy,
     n_steps = round(params.horizon / dt)
     if n_steps < 1 or abs(n_steps * dt - params.horizon) > 1e-6 * dt:
         raise ValueError("dt must divide the horizon")
-    if (jumps is not None and jumps.lam > 0.0 and dt > MAX_JUMP_DT
-            and not allow_coarse_dt):
-        raise ValueError(
-            f"dt > {MAX_JUMP_DT:.0f} s with jumps misplaces jump times; "
-            "pass allow_coarse_dt=True to override")
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
+    if jumps is not None and jumps.lam > 0.0 and dt > MAX_JUMP_DT:
+        raise ValueError(f"dt > {MAX_JUMP_DT:.0f} s misplaces jump times")
 
     if record_every is None:
         recorded = np.array([n_steps])
@@ -313,25 +277,17 @@ def sample_paths(params: ModelParams, jumps: JumpParams | None, policy: Policy,
     production_index = min(int(math.floor(policy.production_time / dt + 1e-9)),
                            n_steps)
 
-    n_rec = recorded.size
-    arrays = {name: np.empty((n_paths, n_rec)) for name in
-              ("x", "y", "d", "p_hat", "q")}
-    arrays["jump_flag"] = np.zeros((n_paths, n_rec), dtype=np.int64)
-    arrays["xi"] = np.empty(n_paths)
-    arrays["running_cost"] = np.empty(n_paths)
-
-    for start in range(0, n_paths, _CHUNK):
-        chunk = np.arange(start, min(start + _CHUNK, n_paths))
-        out = dict(arrays, offset=start, d0=d0, y0=y0, x0=x0,
-                   production_index=production_index)
-        _simulate_chunk(chunk, params, jumps, policy, dt, seed, n_steps,
-                        recorded, out)
-
-    return PathSet(times=recorded * dt, x=arrays["x"], y=arrays["y"],
-                   d=arrays["d"], p_hat=arrays["p_hat"], q=arrays["q"],
-                   jump_flag=arrays["jump_flag"], xi=arrays["xi"],
-                   running_cost=arrays["running_cost"],
-                   production_index=production_index, dt=dt, seed=seed)
+    shape = (n_paths, recorded.size)
+    paths = PathSet(times=recorded * dt, x=np.empty(shape), y=np.empty(shape),
+                    d=np.empty(shape), p_hat=np.empty(shape), q=np.empty(shape),
+                    jump_flag=np.zeros(shape, dtype=np.int64),
+                    xi=np.empty(n_paths), running_cost=np.empty(n_paths),
+                    production_index=production_index, dt=dt, seed=seed)
+    for first in range(0, n_paths, _CHUNK):
+        rows = slice(first, min(first + _CHUNK, n_paths))
+        _simulate_chunk(paths, rows, recorded.tolist(), params, jumps, policy,
+                        start)
+    return paths
 
 
 def estimate_cost(paths: PathSet, params: ModelParams) -> CostEstimate:

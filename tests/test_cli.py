@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -131,6 +135,15 @@ class TestUsageErrors:
         assert run(argv) == 1
         assert "usage:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["tables", "--paths", "7"],
+        ["verify", "--x0", "1"],
+        ["delay", "--seed", "5"],
+    ])
+    def test_option_the_command_does_not_read_exits_1(self, argv, capsys):
+        assert run(argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_help_exits_0(self, capsys):
         assert run(["errorbound", "--help"]) == 0
         assert "usage:" in capsys.readouterr().out
@@ -144,10 +157,11 @@ class TestNonFiniteInput:
         ["simulate", "--paths", "1", "--dt", "3600", "--d0", "nan"],
     ])
     def test_non_finite_state_is_validation_error(self, argv, tmp_path,
-                                                  capsys):
-        assert run(argv + ["--out", str(tmp_path)]) == 1
+                                                  monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # the default --out is ./out
+        assert run(argv) == 1
         assert "must be finite" in capsys.readouterr().err
-        assert not (tmp_path / "paths.csv").exists()
+        assert not any(tmp_path.iterdir())
 
     def test_nan_in_config_is_validation_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -156,6 +170,33 @@ class TestNonFiniteInput:
                        '"rho": 0.8, "horizon_hours": 24}')
         assert run(["errorbound", "--config", str(bad)]) == 1
         assert "mu must be finite" in capsys.readouterr().err
+
+
+class TestSeedRange:
+    """Seeds key an unsigned 64-bit Philox generator."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--paths", "1", "--seed", str(2**64)],
+        ["errorbound", "--config", "sim-jump-neg", "--seed", "-1"],
+        ["verify", "--seed", "-1"],
+    ])
+    def test_out_of_range_seed_is_validation_error(self, argv, tmp_path,
+                                                   monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # the default --out is ./out
+        assert run(argv) == 1
+        assert "seed must lie in [0, 2**64)" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+
+class TestImport:
+    def test_cli_import_skips_scipy_stats(self):
+        """scipy.stats costs about a second to import and is not needed."""
+        code = "import sys, intraday.cli; print('scipy.stats' in sys.modules)"
+        src = str(Path(cli.__file__).parents[1])
+        result = subprocess.run([sys.executable, "-c", code], check=True,
+                                capture_output=True, text=True,
+                                env=dict(os.environ, PYTHONPATH=src))
+        assert result.stdout.strip() == "False"
 
 
 class TestConfigHandling:

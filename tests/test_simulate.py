@@ -26,17 +26,13 @@ class TestValidation:
     def test_coarse_dt_with_jumps_rejected(self, sim_params_eta200,
                                            jumps_positive):
         policy = simulate.optimal_policy(sim_params_eta200, jumps_positive)
-        with pytest.raises(ValueError, match="allow_coarse_dt"):
+        with pytest.raises(ValueError, match="misplaces jump times"):
             simulate.sample_paths(sim_params_eta200, jumps_positive, policy,
                                   1, 3600.0, 0)
-        # explicit override is honoured
-        paths = simulate.sample_paths(sim_params_eta200, jumps_positive,
-                                      policy, 1, 3600.0, 0, d0=5e4, y0=50.0,
-                                      allow_coarse_dt=True)
-        assert paths.n_paths == 1
 
     @pytest.mark.parametrize("kwargs", [
         dict(n_paths=0), dict(dt=0.0), dict(seed=-1), dict(record_every=0),
+        dict(seed=2**64),
     ])
     def test_bad_arguments_rejected(self, sim_params, kwargs):
         policy = simulate.zero_policy(sim_params)
@@ -46,6 +42,15 @@ class TestValidation:
             simulate.sample_paths(sim_params, None, policy, args["n_paths"],
                                   args["dt"], args["seed"],
                                   record_every=args["record_every"])
+
+
+    @pytest.mark.parametrize("state", [dict(d0=math.nan), dict(y0=math.inf),
+                                       dict(x0=-math.inf)])
+    def test_non_finite_start_state_rejected(self, sim_params, state):
+        policy = simulate.zero_policy(sim_params)
+        with pytest.raises(ValueError, match="must be finite"):
+            simulate.sample_paths(sim_params, None, policy, 1, 3600.0, 0,
+                                  **state)
 
 
 class TestDynamics:
@@ -123,6 +128,60 @@ class TestDynamics:
         spread = paths.d[:, idx] - paths.x[:, idx]
         expected = delay.production_rule_delay(spread, paths.y[:, idx], p, h)
         assert np.allclose(paths.xi, expected, rtol=1e-12)
+
+
+class TestScalarRules:
+    """Rules may return Python floats; the step loop broadcasts them."""
+
+    @staticmethod
+    def _arrays(params, jumps, policy):
+        paths = simulate.sample_paths(params, jumps, policy, 5, 60.0, 9,
+                                      d0=5e4, y0=50.0, record_every=7)
+        return [getattr(paths, name).tobytes() for name in
+                ("x", "y", "d", "p_hat", "q", "jump_flag", "xi",
+                 "running_cost")]
+
+    @pytest.mark.parametrize("rate, xi", [(0.0, 0.0), (0.5, 1000.0)])
+    def test_float_rules_match_array_rules(self, sim_params, jumps_negative,
+                                           rate, xi):
+        as_float = simulate.Policy(rate_rule=lambda s, x, y, d: rate,
+                                   production_time=sim_params.horizon,
+                                   production_rule=lambda spread, y: xi)
+        as_array = simulate.Policy(
+            rate_rule=lambda s, x, y, d: np.full_like(x, rate),
+            production_time=sim_params.horizon,
+            production_rule=lambda spread, y: np.full_like(spread, xi))
+        expected = self._arrays(sim_params, jumps_negative, as_array)
+        assert self._arrays(sim_params, jumps_negative, as_float) == expected
+        if rate == 0.0 and xi == 0.0:
+            zero = simulate.zero_policy(sim_params)
+            assert self._arrays(sim_params, jumps_negative, zero) == expected
+
+
+class TestJumpTimes:
+    @staticmethod
+    def _reference_times(seed, path_id, jumps, horizon):
+        """The running sum t += gap over 8-draw blocks, stopped at horizon."""
+        gen = simulate._stream(seed, path_id, simulate._STREAM_JUMP_TIMES)
+        times, t = [], 0.0
+        while t < horizon:
+            for gap in gen.exponential(1.0 / jumps.lam, size=8):
+                t += gap
+                if t >= horizon:
+                    break
+                times.append(t)
+        return np.array(times)
+
+    @pytest.mark.parametrize("lam_per_day", [1.5, 40.0])
+    def test_cumsum_equals_running_sum(self, lam_per_day):
+        jumps = JumpParams(lam=lam_per_day / DAY, p_plus=0.3,
+                           delta_plus=1500.0, delta_minus=-1500.0,
+                           pi_plus=10.0, pi_minus=-10.0)
+        for path_id in range(50):
+            times, signs = simulate._draw_jumps(3, path_id, jumps, DAY)
+            expected = self._reference_times(3, path_id, jumps, DAY)
+            assert times.tobytes() == expected.tobytes()
+            assert signs.shape == times.shape
 
 
 class TestDeterminism:
