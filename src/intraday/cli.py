@@ -36,7 +36,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import closed_form, delay as delay_mod, error_bounds, oracle, simulate
-from .model import HOUR, MarketState, load_param_file
+from .model import HOUR, MarketState, check_seed, load_param_file
 
 #: Fixed default seed so that every subcommand is reproducible by default.
 DEFAULT_SEED = 20_240_817
@@ -177,6 +177,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_errorbound(args) -> int:
+    check_seed(args.seed)  # read only for a jump config, checked always
     params, jumps, delay_seconds = load_param_file(
         resolve_config(args.config, "sim-nojump"))
     tau = params.horizon

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.stats import norm
 
 from .model import (JumpParams, ModelParams, check_seed,
                     reduced_cost_coefficient)
@@ -40,11 +40,6 @@ _PSI_TAIL = (1.0, -6.0, 45.0, -420.0, 4725.0, -62370.0)
 _PSI_TILDE_TAIL = (1.0, -3.0, 15.0, -105.0, 945.0, -10395.0)
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def _pdf(z):
-    """Standard normal density, the formula of ``scipy.stats.norm.pdf``."""
-    return np.exp(-z**2 / 2.0) / np.sqrt(2.0 * np.pi)
 
 
 @dataclass(frozen=True)
@@ -80,9 +75,9 @@ def _tail_series(z, coefficients):
 def psi(z):
     """psi(z) = (z^2 + 1) Phi(-z) - z phi(z); nonnegative and decreasing."""
     z = np.asarray(z, dtype=float)
-    direct = (z**2 + 1.0) * ndtr(-z) - z * _pdf(z)
+    direct = (z**2 + 1.0) * norm.sf(z) - z * norm.pdf(z)
     tail_z = np.maximum(z, _TAIL_Z)  # avoid overflow warnings off-branch
-    tail = _pdf(tail_z) * 2.0 / tail_z**3 * _tail_series(tail_z, _PSI_TAIL)
+    tail = norm.pdf(tail_z) * 2.0 / tail_z**3 * _tail_series(tail_z, _PSI_TAIL)
     out = np.where(z < _TAIL_Z, direct, tail)
     return out if out.ndim else float(out)
 
@@ -91,7 +86,7 @@ def log_psi(z):
     """Natural log of psi(z), valid far beyond the underflow point of psi."""
     z = np.asarray(z, dtype=float)
     with np.errstate(divide="ignore"):
-        direct = np.log(np.maximum((z**2 + 1.0) * ndtr(-z) - z * _pdf(z),
+        direct = np.log(np.maximum((z**2 + 1.0) * norm.sf(z) - z * norm.pdf(z),
                                    0.0))
     tail_z = np.maximum(z, _TAIL_Z)
     tail = (-0.5 * tail_z**2 - _LOG_SQRT_2PI
@@ -103,9 +98,9 @@ def log_psi(z):
 def psi_tilde(z):
     """psi_tilde(z) = phi(z) - z Phi(-z); nonnegative for all z."""
     z = np.asarray(z, dtype=float)
-    direct = _pdf(z) - z * ndtr(-z)
+    direct = norm.pdf(z) - z * norm.sf(z)
     tail_z = np.maximum(z, _TAIL_Z)
-    tail = (_pdf(tail_z) / tail_z**2
+    tail = (norm.pdf(tail_z) / tail_z**2
             * _tail_series(tail_z, _PSI_TILDE_TAIL))
     out = np.where(z < _TAIL_Z, direct, tail)
     return out if out.ndim else float(out)
@@ -163,7 +158,7 @@ def _report(m: float, v: float, prefactor: float) -> ErrorBoundReport:
         prob = 1.0 if m < 0 else (0.5 if m == 0 else 0.0)
         return ErrorBoundReport(0.0, prob, moments)
     z = m / math.sqrt(v)
-    return ErrorBoundReport(float(prefactor * v * psi(z)), float(ndtr(-z)),
+    return ErrorBoundReport(float(prefactor * v * psi(z)), float(norm.sf(z)),
                             moments)
 
 
@@ -278,7 +273,7 @@ def error_bound_jump(tau, spread, y, params: ModelParams,
         np.add.at(sums, np.repeat(np.arange(size), counts), terms)
         z = (m_l + sums) / sqrt_v
         bounds[start:start + size] = prefactor * v * psi(z)
-        probs[start:start + size] = ndtr(-z)
+        probs[start:start + size] = norm.sf(z)
     stderr = float(bounds.std(ddof=1) / math.sqrt(n_samples))
     return ErrorBoundReport(float(bounds.mean()), float(probs.mean()),
                             SpreadMoments(mean=m_l, variance=v), stderr)

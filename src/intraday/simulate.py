@@ -168,13 +168,15 @@ def _draw_jumps(seed: int, path_id: int, jumps: JumpParams,
                 horizon: float) -> tuple[np.ndarray, np.ndarray]:
     """Exact exponential jump times on [0, horizon) and +1/-1 signs."""
     gen_t = _stream(seed, path_id, _STREAM_JUMP_TIMES)
-    gaps = gen_t.exponential(1.0 / jumps.lam, size=8)
-    # cumsum adds in order, as the running sum t += gap
-    while (times := np.cumsum(gaps))[-1] < horizon:
-        gaps = np.append(gaps, gen_t.exponential(1.0 / jumps.lam, size=8))
-    times = times[times < horizon]
-    uniforms = _stream(seed, path_id, _STREAM_JUMP_SIGNS).random(size=times.size)
-    return times, np.where(uniforms < jumps.p_plus, 1, -1)
+    times, t = [], 0.0
+    while t < horizon:
+        for gap in gen_t.exponential(1.0 / jumps.lam, size=8):
+            t += gap
+            if t >= horizon:
+                break
+            times.append(t)
+    uniforms = _stream(seed, path_id, _STREAM_JUMP_SIGNS).random(size=len(times))
+    return np.array(times), np.where(uniforms < jumps.p_plus, 1, -1)
 
 
 def _simulate_chunk(paths: PathSet, rows: slice, recorded: list[int],
@@ -182,19 +184,22 @@ def _simulate_chunk(paths: PathSet, rows: slice, recorded: list[int],
                     policy: Policy, start: MarketState) -> None:
     """Simulate the paths with ids ``rows`` and write them into ``paths``."""
     n = rows.stop - rows.start
-    dt, seed = paths.dt, paths.seed
-    n_steps = recorded[-1]
+    dt, seed, n_steps = paths.dt, paths.seed, recorded[-1]
 
-    dw = np.empty((n, n_steps))
-    dw_perp = np.empty((n, n_steps))
+    dw, dw_perp = noise = np.empty((2, n, n_steps))
+    for i, pid in enumerate(range(rows.start, rows.stop)):
+        dw[i] = _stream(seed, pid, _STREAM_W).standard_normal(n_steps)
+        dw_perp[i] = _stream(seed, pid, _STREAM_W_PERP).standard_normal(n_steps)
+    noise *= math.sqrt(dt)
+    db = params.rho * dw + math.sqrt(1.0 - params.rho**2) * dw_perp
+
+    # after db, so that their written pages miss the peak of its temporaries
     jump_d = np.zeros((n, n_steps + 1))
     jump_y = np.zeros((n, n_steps + 1))
     flags = np.zeros((n, n_steps + 1), dtype=np.int64)
     for i, pid in enumerate(range(rows.start, rows.stop)):
-        dw[i] = _stream(seed, pid, _STREAM_W).standard_normal(n_steps)
-        dw_perp[i] = _stream(seed, pid, _STREAM_W_PERP).standard_normal(n_steps)
         if jumps is None or jumps.lam == 0.0:
-            continue
+            break
         times, signs = _draw_jumps(seed, pid, jumps, params.horizon)
         # first grid node at or after the exact jump time
         nodes = np.minimum(np.ceil(times / dt - 1e-12).astype(np.int64), n_steps)
@@ -203,9 +208,6 @@ def _simulate_chunk(paths: PathSet, rows: slice, recorded: list[int],
         np.add.at(jump_y[i], nodes,
                   np.where(signs > 0, jumps.pi_plus, jumps.pi_minus))
         np.add.at(flags[i], nodes, signs)
-    dw *= math.sqrt(dt)
-    dw_perp *= math.sqrt(dt)
-    db = params.rho * dw + math.sqrt(1.0 - params.rho**2) * dw_perp
 
     x = np.full(n, start.x)
     y = start.y + jump_y[:, 0]
@@ -264,29 +266,27 @@ def sample_paths(params: ModelParams, jumps: JumpParams | None, policy: Policy,
         raise ValueError(f"dt > {MAX_JUMP_DT:.0f} s misplaces jump times")
 
     if record_every is None:
-        recorded = np.array([n_steps])
+        recorded = [n_steps]
+    elif record_every < 1:
+        raise ValueError("record_every must be positive or None")
     else:
-        if record_every < 1:
-            raise ValueError("record_every must be positive or None")
-        recorded = np.arange(0, n_steps + 1, record_every)
-        if recorded[-1] != n_steps:
-            recorded = np.append(recorded, n_steps)
+        recorded = [*range(0, n_steps, record_every), n_steps]
 
     if not 0.0 <= policy.production_time <= params.horizon:
         raise ValueError("production time must lie in [0, horizon]")
     production_index = min(int(math.floor(policy.production_time / dt + 1e-9)),
                            n_steps)
 
-    shape = (n_paths, recorded.size)
-    paths = PathSet(times=recorded * dt, x=np.empty(shape), y=np.empty(shape),
-                    d=np.empty(shape), p_hat=np.empty(shape), q=np.empty(shape),
+    shape = (n_paths, len(recorded))
+    paths = PathSet(times=np.array(recorded) * dt,
+                    x=np.empty(shape), y=np.empty(shape), d=np.empty(shape),
+                    p_hat=np.empty(shape), q=np.empty(shape),
                     jump_flag=np.zeros(shape, dtype=np.int64),
                     xi=np.empty(n_paths), running_cost=np.empty(n_paths),
                     production_index=production_index, dt=dt, seed=seed)
     for first in range(0, n_paths, _CHUNK):
         rows = slice(first, min(first + _CHUNK, n_paths))
-        _simulate_chunk(paths, rows, recorded.tolist(), params, jumps, policy,
-                        start)
+        _simulate_chunk(paths, rows, recorded, params, jumps, policy, start)
     return paths
 
 

@@ -2,10 +2,6 @@
 
 import csv
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -178,6 +174,8 @@ class TestSeedRange:
     @pytest.mark.parametrize("argv", [
         ["simulate", "--paths", "1", "--seed", str(2**64)],
         ["errorbound", "--config", "sim-jump-neg", "--seed", "-1"],
+        ["errorbound", "--seed", "-1"],
+        ["errorbound", "--config", "sim-delay", "--seed", str(2**64)],
         ["verify", "--seed", "-1"],
     ])
     def test_out_of_range_seed_is_validation_error(self, argv, tmp_path,
@@ -186,17 +184,6 @@ class TestSeedRange:
         assert run(argv) == 1
         assert "seed must lie in [0, 2**64)" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
-
-
-class TestImport:
-    def test_cli_import_skips_scipy_stats(self):
-        """scipy.stats costs about a second to import and is not needed."""
-        code = "import sys, intraday.cli; print('scipy.stats' in sys.modules)"
-        src = str(Path(cli.__file__).parents[1])
-        result = subprocess.run([sys.executable, "-c", code], check=True,
-                                capture_output=True, text=True,
-                                env=dict(os.environ, PYTHONPATH=src))
-        assert result.stdout.strip() == "False"
 
 
 class TestConfigHandling:

@@ -158,32 +158,6 @@ class TestScalarRules:
             assert self._arrays(sim_params, jumps_negative, zero) == expected
 
 
-class TestJumpTimes:
-    @staticmethod
-    def _reference_times(seed, path_id, jumps, horizon):
-        """The running sum t += gap over 8-draw blocks, stopped at horizon."""
-        gen = simulate._stream(seed, path_id, simulate._STREAM_JUMP_TIMES)
-        times, t = [], 0.0
-        while t < horizon:
-            for gap in gen.exponential(1.0 / jumps.lam, size=8):
-                t += gap
-                if t >= horizon:
-                    break
-                times.append(t)
-        return np.array(times)
-
-    @pytest.mark.parametrize("lam_per_day", [1.5, 40.0])
-    def test_cumsum_equals_running_sum(self, lam_per_day):
-        jumps = JumpParams(lam=lam_per_day / DAY, p_plus=0.3,
-                           delta_plus=1500.0, delta_minus=-1500.0,
-                           pi_plus=10.0, pi_minus=-10.0)
-        for path_id in range(50):
-            times, signs = simulate._draw_jumps(3, path_id, jumps, DAY)
-            expected = self._reference_times(3, path_id, jumps, DAY)
-            assert times.tobytes() == expected.tobytes()
-            assert signs.shape == times.shape
-
-
 class TestDeterminism:
     def test_same_seed_bit_identical(self, sim_params):
         policy = simulate.optimal_policy(sim_params, None, constrained=False)
