@@ -16,11 +16,19 @@ Randomness comes from a counter-based generator (Philox) keyed by
 ``(seed, path_id, stream_id)`` with separate streams for W, W_perp, jump
 times and jump signs, so results are bit-identical for a fixed seed,
 independent of batch size: a path's trajectory depends only on its id.
+
+Paths are simulated in chunks of at most ``_CHUNK``.  Inside a chunk the
+noise increments and the jump arrays are stored time-major, shape
+(n_steps[+1], n): row k holds step k of every path, so each Euler step
+reads contiguous rows.  Each path's normals are drawn into a small
+path-major block and transposed into place.  The recorded ``PathSet``
+arrays stay path-major, shape (n_paths, n_recorded).
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Optional
@@ -33,6 +41,10 @@ from .model import JumpParams, MarketState, ModelParams, check_seed
 #: Paths are processed in fixed-size blocks to bound the size of the
 #: per-chunk noise arrays.
 _CHUNK = 2048
+
+#: Paths whose normals are drawn into one path-major block before it is
+#: transposed into the time-major chunk arrays.
+_BLOCK = 64
 
 #: Streams per path in the counter-based RNG keying.
 _STREAM_W, _STREAM_W_PERP, _STREAM_JUMP_TIMES, _STREAM_JUMP_SIGNS = range(4)
@@ -159,9 +171,28 @@ def perturbed_policy(base: Policy, epsilon: float, profile: Callable) -> Policy:
                   production_rule=base.production_rule)
 
 
+class _PhiloxKey(np.random.bit_generator.ISeedSequence):
+    """Seed sequence that hands a fixed Philox key to the generator.
+
+    ``BitGenerator.__init__`` draws OS entropy for a ``SeedSequence`` even
+    when ``Philox(key=...)`` is given, and the key then replaces it.
+    Philox takes its key from ``generate_state(2, uint64)`` of this object
+    instead, so the generator has the same key, counter and bits as
+    ``Philox(key=key)`` at less than half the construction cost.
+    """
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.key
+
+
 def _stream(seed: int, path_id: int, stream_id: int) -> np.random.Generator:
     key = np.array([seed, (path_id << 3) + stream_id], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
 
 
 def _draw_jumps(seed: int, path_id: int, jumps: JumpParams,
@@ -186,32 +217,39 @@ def _simulate_chunk(paths: PathSet, rows: slice, recorded: list[int],
     n = rows.stop - rows.start
     dt, seed, n_steps = paths.dt, paths.seed, recorded[-1]
 
-    dw, dw_perp = noise = np.empty((2, n, n_steps))
-    for i, pid in enumerate(range(rows.start, rows.stop)):
-        dw[i] = _stream(seed, pid, _STREAM_W).standard_normal(n_steps)
-        dw_perp[i] = _stream(seed, pid, _STREAM_W_PERP).standard_normal(n_steps)
+    # time-major: row k of dw/db is step k of every path; db first holds
+    # dW_perp and is turned into B's increments in place
+    dw, db = noise = np.empty((2, n_steps, n))
+    block = np.empty((2, min(_BLOCK, n), n_steps))
+    for first in range(0, n, _BLOCK):
+        width = min(_BLOCK, n - first)
+        for i in range(width):
+            pid = rows.start + first + i
+            _stream(seed, pid, _STREAM_W).standard_normal(out=block[0, i])
+            _stream(seed, pid, _STREAM_W_PERP).standard_normal(out=block[1, i])
+        noise[:, :, first:first + width] = block[:, :width].transpose(0, 2, 1)
     noise *= math.sqrt(dt)
-    db = params.rho * dw + math.sqrt(1.0 - params.rho**2) * dw_perp
+    db *= math.sqrt(1.0 - params.rho**2)
+    db += params.rho * dw
 
-    # after db, so that their written pages miss the peak of its temporaries
-    jump_d = np.zeros((n, n_steps + 1))
-    jump_y = np.zeros((n, n_steps + 1))
-    flags = np.zeros((n, n_steps + 1), dtype=np.int64)
+    jump_d = np.zeros((n_steps + 1, n))
+    jump_y = np.zeros((n_steps + 1, n))
+    flags = np.zeros((n_steps + 1, n), dtype=np.int64)
     for i, pid in enumerate(range(rows.start, rows.stop)):
         if jumps is None or jumps.lam == 0.0:
             break
         times, signs = _draw_jumps(seed, pid, jumps, params.horizon)
         # first grid node at or after the exact jump time
         nodes = np.minimum(np.ceil(times / dt - 1e-12).astype(np.int64), n_steps)
-        np.add.at(jump_d[i], nodes,
+        np.add.at(jump_d[:, i], nodes,
                   np.where(signs > 0, jumps.delta_plus, jumps.delta_minus))
-        np.add.at(jump_y[i], nodes,
+        np.add.at(jump_y[:, i], nodes,
                   np.where(signs > 0, jumps.pi_plus, jumps.pi_minus))
-        np.add.at(flags[i], nodes, signs)
+        np.add.at(flags[:, i], nodes, signs)
 
     x = np.full(n, start.x)
-    y = start.y + jump_y[:, 0]
-    d = start.d + jump_d[:, 0]
+    y = start.y + jump_y[0]
+    d = start.d + jump_d[0]
     p_hat = y.copy()
     xi = 0.0  # production quantity, fixed at the production node
     running_cost = np.zeros(n)
@@ -226,15 +264,16 @@ def _simulate_chunk(paths: PathSet, rows: slice, recorded: list[int],
             paths.d[rows, pos] = d
             paths.p_hat[rows, pos] = p_hat
             paths.q[rows, pos] = q
-            paths.jump_flag[rows, pos] = flags[:, k]
+            paths.jump_flag[rows, pos] = flags[k]
             pos += 1
         if k == n_steps:
             break
         running_cost += q * (y + params.gamma * q) * dt
+        price_noise = params.sigma0 * dw[k]
         x = x + q * dt
-        y = y + params.nu * q * dt + params.sigma0 * dw[:, k] + jump_y[:, k + 1]
-        d = d + params.mu * dt + params.sigma_d * db[:, k] + jump_d[:, k + 1]
-        p_hat = p_hat + params.sigma0 * dw[:, k] + jump_y[:, k + 1]
+        y = y + params.nu * q * dt + price_noise + jump_y[k + 1]
+        d = d + params.mu * dt + params.sigma_d * db[k] + jump_d[k + 1]
+        p_hat = p_hat + price_noise + jump_y[k + 1]
 
     paths.xi[rows] = xi
     paths.running_cost[rows] = running_cost
@@ -257,18 +296,29 @@ def sample_paths(params: ModelParams, jumps: JumpParams | None, policy: Policy,
     start = MarketState(t=0.0, x=x0, y=y0, d=d0)
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not (math.isfinite(dt) and dt > 0
+            and math.isfinite(params.horizon / dt)):
+        raise ValueError("dt must be positive and finite, "
+                         "and horizon / dt finite")
     n_steps = round(params.horizon / dt)
     if n_steps < 1 or abs(n_steps * dt - params.horizon) > 1e-6 * dt:
         raise ValueError("dt must divide the horizon")
     if jumps is not None and jumps.lam > 0.0 and dt > MAX_JUMP_DT:
         raise ValueError(f"dt > {MAX_JUMP_DT:.0f} s misplaces jump times")
 
+    if record_every is not None and record_every < 1:
+        raise ValueError("record_every must be positive or None")
+    n_recorded = 1 if record_every is None else -(-n_steps // record_every) + 1
+    # recorded arrays (x, y, d, p_hat, q, jump_flag) plus one chunk's noise
+    # and jump arrays (dw, db, jump_d, jump_y, flags), all 8-byte items
+    needed = (n_paths * n_recorded * 6
+              + min(n_paths, _CHUNK) * (n_steps + 1) * 5) * 8
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if needed > physical:
+        raise ValueError(f"{n_paths} paths at dt = {dt:g} s need more than "
+                         f"the {physical / 2**30:.3g} GiB of physical memory")
     if record_every is None:
         recorded = [n_steps]
-    elif record_every < 1:
-        raise ValueError("record_every must be positive or None")
     else:
         recorded = [*range(0, n_steps, record_every), n_steps]
 

@@ -186,6 +186,23 @@ class TestSeedRange:
         assert not any(tmp_path.iterdir())
 
 
+class TestOversizedGrid:
+    """A grid that cannot fit in memory, or a dt that is not a finite
+    positive number, is rejected before anything is allocated."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--dt", "1e-300"], "physical memory"),
+        (["--dt", "nan"], "dt must be positive and finite"),
+        (["--paths", str(10**12)], "physical memory"),
+    ])
+    def test_simulate_exits_1(self, argv, message, tmp_path, monkeypatch,
+                              capsys):
+        monkeypatch.chdir(tmp_path)  # the default --out is ./out
+        assert run(["simulate", "--paths", "1", *argv]) == 1
+        assert message in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+
 class TestConfigHandling:
     def test_unknown_config_name(self, capsys):
         assert run(["tables", "--config", "no-such-preset"]) == 1

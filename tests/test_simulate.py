@@ -1,13 +1,15 @@
 """Tests for the Euler Monte Carlo engine: dynamics, determinism, I/O."""
 
 import csv
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from intraday import closed_form, delay, simulate
-from intraday.model import DAY, HOUR, JumpParams, ModelParams
+from intraday import cli, closed_form, delay, simulate
+from intraday.model import DAY, HOUR, JumpParams, ModelParams, load_param_file
 
 
 def small_params(**overrides):
@@ -51,6 +53,32 @@ class TestValidation:
         with pytest.raises(ValueError, match="must be finite"):
             simulate.sample_paths(sim_params, None, policy, 1, 3600.0, 0,
                                   **state)
+
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(dt=1e-300), "physical memory"),
+        (dict(dt=math.nan), "positive and finite"),
+        (dict(dt=math.inf), "positive and finite"),
+        (dict(dt=1e-310), "positive and finite"),
+        (dict(n_paths=10**400), "physical memory"),
+        (dict(n_paths=10**12), "physical memory"),
+        (dict(n_paths=10**12, record_every=None), "physical memory"),
+    ])
+    def test_oversized_grid_rejected_before_allocating(self, sim_params,
+                                                       kwargs, message):
+        policy = simulate.zero_policy(sim_params)
+        args = dict(n_paths=1, dt=60.0, record_every=1)
+        args.update(kwargs)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                simulate.sample_paths(sim_params, None, policy,
+                                      args["n_paths"], args["dt"], 0,
+                                      record_every=args["record_every"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestDynamics:
@@ -188,6 +216,63 @@ class TestDeterminism:
         assert np.array_equal(small.x, large.x[:12])
         assert np.array_equal(small.q, large.q[:12])
         assert np.array_equal(small.running_cost, large.running_cost[:12])
+
+
+class TestStreamContract:
+    """Each path draws from Philox keyed by [seed, (path_id << 3) +
+    stream_id].  Re-keying changes every simulated path, so it must
+    show up here as an edited test."""
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("path_id", [0, 2047, 2048, 10**6])
+    @pytest.mark.parametrize("stream_id", range(4))
+    def test_stream_is_keyed_philox(self, seed, path_id, stream_id):
+        key = np.array([seed, (path_id << 3) + stream_id], dtype=np.uint64)
+        ours = simulate._stream(seed, path_id, stream_id)
+        ref = np.random.Generator(np.random.Philox(key=key))
+        assert np.array_equal(ours.standard_normal(300),
+                              ref.standard_normal(300))
+        assert np.array_equal(ours.exponential(3.0, 40),
+                              ref.exponential(3.0, 40))
+        assert np.array_equal(ours.random(40), ref.random(40))
+
+    def test_golden_jump_run(self):
+        params, jumps, _ = load_param_file(
+            cli.resolve_config("sim-jump-neg", "sim-jump-neg"))
+        policy = simulate.optimal_policy(params, jumps)
+        paths = simulate.sample_paths(params, jumps, policy, 5, 60.0,
+                                      cli.DEFAULT_SEED, d0=cli.DEFAULT_D0,
+                                      y0=cli.DEFAULT_Y0, record_every=7)
+        assert np.abs(paths.jump_flag).sum() > 0
+        digest = hashlib.sha256()
+        for name in ("x", "y", "d", "p_hat", "q", "jump_flag", "xi",
+                     "running_cost"):
+            digest.update(getattr(paths, name).tobytes())
+        assert digest.hexdigest() == (
+            "c6e7d07e3e06d06f4fce55b66713c9a3ef9d48710f8e5a3e02f193e3c1cb7619")
+
+
+class TestMemory:
+    def test_chunk_working_set(self, sim_params, jumps_negative):
+        """One 1024-path jump chunk holds its time-major dW and dB and the
+        three jump arrays, each n x n_steps, plus small per-step arrays:
+        a traced peak of at most 5.25 such units (numpy reports its
+        buffers to tracemalloc)."""
+        policy = simulate.optimal_policy(sim_params, jumps_negative,
+                                         constrained=False)
+        n, dt = 1024, 60.0
+        unit = n * round(sim_params.horizon / dt) * 8
+        simulate.sample_paths(sim_params, jumps_negative, policy, 2, dt, 1,
+                              d0=5e4, y0=50.0, record_every=None)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            simulate.sample_paths(sim_params, jumps_negative, policy, n, dt,
+                                  1, d0=5e4, y0=50.0, record_every=None)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.25 * unit
 
 
 class TestRecording:
