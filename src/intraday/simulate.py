@@ -279,21 +279,15 @@ def _simulate_chunk(paths: PathSet, rows: slice, recorded: list[int],
     paths.running_cost[rows] = running_cost
 
 
-def sample_paths(params: ModelParams, jumps: JumpParams | None, policy: Policy,
-                 n_paths: int, dt: float, seed: int, *,
-                 d0: float = 0.0, y0: float = 0.0, x0: float = 0.0,
-                 record_every: Optional[int] = 1) -> PathSet:
-    """Simulate ``n_paths`` Euler trajectories under a policy.
+def check_grid(params: ModelParams, jumps: JumpParams | None, n_paths: int,
+               dt: float, record_every: Optional[int]) -> int:
+    """Validate a simulation grid before anything is computed.
 
-    Parameters
-    ----------
-    record_every : int or None
-        Record every k-th grid node (the final node is always recorded);
-        ``None`` keeps only the terminal node.  The cost integral is
-        always accumulated at full resolution.
+    Rejects a non-positive path count, a ``dt`` that is not finite or does
+    not divide the horizon, a ``dt`` too coarse for the jumps, a bad
+    ``record_every``, and a run whose arrays exceed physical memory.
+    Returns the number of Euler steps.
     """
-    check_seed(seed)
-    start = MarketState(t=0.0, x=x0, y=y0, d=d0)
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
     if not (math.isfinite(dt) and dt > 0
@@ -317,6 +311,25 @@ def sample_paths(params: ModelParams, jumps: JumpParams | None, policy: Policy,
     if needed > physical:
         raise ValueError(f"{n_paths} paths at dt = {dt:g} s need more than "
                          f"the {physical / 2**30:.3g} GiB of physical memory")
+    return n_steps
+
+
+def sample_paths(params: ModelParams, jumps: JumpParams | None, policy: Policy,
+                 n_paths: int, dt: float, seed: int, *,
+                 d0: float = 0.0, y0: float = 0.0, x0: float = 0.0,
+                 record_every: Optional[int] = 1) -> PathSet:
+    """Simulate ``n_paths`` Euler trajectories under a policy.
+
+    Parameters
+    ----------
+    record_every : int or None
+        Record every k-th grid node (the final node is always recorded);
+        ``None`` keeps only the terminal node.  The cost integral is
+        always accumulated at full resolution.
+    """
+    check_seed(seed)
+    start = MarketState(t=0.0, x=x0, y=y0, d=d0)
+    n_steps = check_grid(params, jumps, n_paths, dt, record_every)
     if record_every is None:
         recorded = [n_steps]
     else:

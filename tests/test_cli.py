@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from intraday import cli, closed_form
+from intraday import cli, closed_form, oracle
 
 
 def run(argv):
@@ -199,6 +199,23 @@ class TestOversizedGrid:
                               capsys):
         monkeypatch.chdir(tmp_path)  # the default --out is ./out
         assert run(["simulate", "--paths", "1", *argv]) == 1
+        assert message in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--dt", "nan"], "dt must be positive and finite"),
+        (["--dt", "7"], "dt must divide the horizon"),
+        (["--paths", "0"], "n_paths must be at least 1"),
+        (["--paths", str(10**12)], "physical memory"),
+    ])
+    def test_verify_exits_1_before_the_oracle(self, argv, message, tmp_path,
+                                              monkeypatch, capsys):
+        def not_called(*args, **kwargs):
+            raise AssertionError("the oracle ran before the grid check")
+
+        monkeypatch.setattr(oracle, "integrate_riccati", not_called)
+        monkeypatch.chdir(tmp_path)
+        assert run(["verify", *argv, "--out", "report"]) == 1
         assert message in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 

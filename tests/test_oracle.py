@@ -1,5 +1,7 @@
 """Tests for the independent ODE / quadrature / Monte Carlo oracle."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -50,11 +52,59 @@ class TestRk4Integration:
         with pytest.raises(RuntimeError, match="blew up"):
             oracle.integrate_riccati(params, params.horizon, n_steps=2)
 
+    @pytest.mark.parametrize("gamma, n_steps, step", [(1e-5, 2, "2/2"),
+                                                      (1e-7, 3, "2/3")])
+    def test_overflow_is_blow_up(self, gamma, n_steps, step):
+        """A stage that overflows a float power reports the same blow-up as
+        a step that ends non-finite, not an OverflowError."""
+        params = ModelParams(sigma0=1 / 60, sigma_d=1000 / 60, beta=0.002,
+                             eta=200.0, mu=0.0, nu=4e-5, gamma=gamma, rho=0.8,
+                             horizon=24 * HOUR)
+        with pytest.raises(RuntimeError,
+                           match=f"blew up at step {step}; reduce"):
+            oracle.integrate_riccati(params, params.horizon, n_steps=n_steps)
+
     def test_invalid_arguments(self, sim_params):
         with pytest.raises(ValueError):
             oracle.integrate_riccati(sim_params, -1.0, 100)
         with pytest.raises(ValueError):
             oracle.integrate_riccati(sim_params, 3600.0, 0)
+
+
+def _sha256(array):
+    return hashlib.sha256(np.ascontiguousarray(array, dtype=np.float64)
+                          .tobytes()).hexdigest()
+
+
+class TestRk4Bits:
+    """Golden sha256 of the oracle's coefficients and grid at 10^4 steps,
+    taken from the numpy-array RK4 that the Python-float RK4 replaced.  A
+    change to the oracle's arithmetic must edit these digests."""
+
+    TAU = "e320aaf45cda1ccc9d1e8c6da0f83e75be4d2864d0d9096667225ef7e3562f2b"
+
+    def test_no_jump_system(self, sim_params):
+        sol = oracle.integrate_riccati(sim_params, sim_params.horizon, 10_000)
+        assert not sol.transformed
+        assert _sha256(sol.coeffs) == ("f0e38f9a18a34880728bb63e83f717bf"
+                                       "b799076829bf7e394dc52dfe7f6288ef")
+        assert _sha256(sol.tau) == self.TAU
+
+    def test_jump_system(self, sim_params_eta200, jumps_negative):
+        sol = oracle.integrate_jump_riccati(sim_params_eta200, jumps_negative,
+                                            sim_params_eta200.horizon, 10_000)
+        assert _sha256(sol.coeffs) == ("5e121e48bd1d1caeeffe50686397e780"
+                                       "37a7cc887ee1524c8f0ae4ac162cc4ef")
+        assert _sha256(sol.tau) == self.TAU
+
+    def test_log_transformed_system(self, table_params):
+        sol = oracle.integrate_riccati(table_params, table_params.horizon,
+                                       10_000)
+        assert sol.transformed
+        assert _sha256(sol.coeffs) == ("8608a894ff543695c90498f38a9208a3"
+                                       "a979174887516eed6b96f006f27e4cc1")
+        assert _sha256(sol.tau) == ("65d00426fd6c0a7d604d6e632f887df4"
+                                    "d33ed9c0af73987350be53fb6cf6bcd0")
 
 
 class TestQuadrature:
@@ -107,6 +157,34 @@ class TestVerificationReport:
                                             n_steps=500)
         errors = oracle.compare_with_closed_form(solution, sim_params)
         assert errors["a"] > 1e-3
+
+    @pytest.mark.parametrize("with_jumps, grid, message", [
+        (False, dict(dt=float("nan")), "dt must be positive and finite"),
+        (False, dict(dt=7.0), "dt must divide the horizon"),
+        (True, dict(dt=3600.0), "misplaces jump times"),
+        (False, dict(n_paths=0), "n_paths must be at least 1"),
+        (False, dict(n_paths=10**12), "physical memory"),
+    ])
+    def test_bad_grid_rejected_before_the_oracle(self, sim_params,
+                                                 jumps_negative, monkeypatch,
+                                                 with_jumps, grid, message):
+        def not_called(*args, **kwargs):
+            raise AssertionError("the oracle ran before the grid check")
+
+        monkeypatch.setattr(oracle, "integrate_riccati", not_called)
+        jumps = jumps_negative if with_jumps else None
+        with pytest.raises(ValueError, match=message):
+            oracle.verification_report(sim_params, jumps, **grid)
+
+    def test_pure_trader_ignores_the_grid(self):
+        """A pure trader is not simulated, so its grid is not checked."""
+        pure = ModelParams(sigma0=1 / 60, sigma_d=1000 / 60, beta=None,
+                           eta=100.0, mu=0.0, nu=4e-5, gamma=2.22, rho=0.8,
+                           horizon=24 * HOUR)
+        report = oracle.verification_report(pure, dt=float("nan"),
+                                            n_paths=0, n_steps=2000)
+        assert set(report["checks"]) == {"riccati_ode", "jump_riccati_ode",
+                                         "variance_quadrature"}
 
     def test_format_report_mentions_status(self, sim_params):
         report = {"passed": True,
