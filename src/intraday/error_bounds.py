@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm
 
-from .model import (JumpParams, ModelParams, check_seed,
+from .model import (JumpParams, ModelParams, check_memory, check_seed,
                     reduced_cost_coefficient)
 
 #: Switch point between direct evaluation of psi and its tail expansion.
@@ -253,6 +253,10 @@ def error_bound_jump(tau, spread, y, params: ModelParams,
     if rate_minus == 0.0 or v == 0.0:
         return _report(m_l, v, prefactor)
 
+    chunk = 16_384
+    # a chunk's jump draws peak at four 8-byte arrays per draw
+    draws = min(n_samples, chunk) * rate_minus * tau
+    check_memory(32 * draws, f"{draws:.3g} expected jump draws per chunk")
     r = reduced_cost_coefficient(params)
     nu, gamma = params.nu, params.gamma
     sqrt_v = math.sqrt(v)
@@ -260,7 +264,6 @@ def error_bound_jump(tau, spread, y, params: ModelParams,
         np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
     bounds = np.empty(n_samples)
     probs = np.empty(n_samples)
-    chunk = 16_384
     for start in range(0, n_samples, chunk):
         size = min(chunk, n_samples - start)
         counts = rng.poisson(rate_minus * tau, size=size)

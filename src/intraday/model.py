@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,6 +47,14 @@ def check_seed(seed: int) -> None:
     """Reject a seed that does not fit the unsigned 64-bit Philox key."""
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+
+
+def check_memory(needed: float, what: str) -> None:
+    """Reject ``what`` if its ``needed`` bytes exceed physical memory."""
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if needed > physical:
+        raise ValueError(f"{what} need more than the {physical / 2**30:.3g} "
+                         "GiB of physical memory")
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ arrays stay path-major, shape (n_paths, n_recorded).
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Optional
@@ -307,10 +306,7 @@ def check_grid(params: ModelParams, jumps: JumpParams | None, n_paths: int,
     # and jump arrays (dw, db, jump_d, jump_y, flags), all 8-byte items
     needed = (n_paths * n_recorded * 6
               + min(n_paths, _CHUNK) * (n_steps + 1) * 5) * 8
-    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if needed > physical:
-        raise ValueError(f"{n_paths} paths at dt = {dt:g} s need more than "
-                         f"the {physical / 2**30:.3g} GiB of physical memory")
+    model.check_memory(needed, f"{n_paths} paths at dt = {dt:g} s")
     return n_steps
 
 

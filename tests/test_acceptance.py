@@ -4,9 +4,9 @@ figures and the package's own statistical guarantees.
 Reference table cells and headline values are compared at 3 significant
 figures.  A handful of reference cells are not reproducible from the
 closed forms (independently confirmed by RK4 integration of the Riccati
-systems and adaptive quadrature of the variance integral); those cells
-are marked strict-xfail with the measured discrepancy in the reason, so
-any change in their status is flagged.
+systems and fixed composite Gauss–Legendre in log time of the variance
+integral); those cells are marked strict-xfail with the measured
+discrepancy in the reason, so any change in their status is flagged.
 """
 
 import math

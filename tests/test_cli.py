@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import csv
+import hashlib
 import json
 
 import pytest
@@ -59,6 +60,13 @@ class TestSimulate:
         assert run(["simulate", "--scenario", "jump-negative", "--paths", "1",
                     "--dt", "60", "--out", str(tmp_path)]) == 0
 
+    def test_golden_csv_bytes(self, tmp_path):
+        assert run(["simulate", "--scenario", "jump-negative", "--paths", "3",
+                    "--dt", "60", "--out", str(tmp_path)]) == 0
+        data = (tmp_path / "paths.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == (
+            "ef1354f4da948dd0be28600c742a37366c7b48582400cc2b65949cf004cfb5b7")
+
 
 class TestVerify:
     def test_verify_passes_and_writes_report(self, tmp_path):
@@ -81,6 +89,18 @@ class TestVerify:
         assert run(["verify", "--paths", "400", "--out", str(tmp_path)]) == 2
         assert "verification checks failed" in capsys.readouterr().err
 
+    def test_pure_trader_passes(self, tmp_path, capsys):
+        payload = json.loads(cli.resolve_config("sim-nojump", "sim-nojump")
+                             .read_text())
+        payload["beta"] = None
+        config = tmp_path / "pure-trader.json"
+        config.write_text(json.dumps(payload))
+        assert run(["verify", "--config", str(config),
+                    "--out", str(tmp_path / "report")]) == 0
+        captured = capsys.readouterr()
+        assert "overall: PASS" in captured.out
+        assert captured.err == ""
+
 
 class TestErrorBound:
     def test_plain_config(self, capsys):
@@ -94,6 +114,16 @@ class TestErrorBound:
         out = capsys.readouterr().out
         assert "model: jump" in out
         assert "mc stderr" in out
+
+    def test_oversized_jump_draw_exits_1(self, tmp_path, capsys):
+        payload = json.loads(cli.resolve_config("sim-jump-neg", "sim-jump-neg")
+                             .read_text())
+        payload["jump"]["lambda_per_day"] = 1e9
+        config = tmp_path / "frequent-jumps.json"
+        config.write_text(json.dumps(payload))
+        assert run(["errorbound", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "physical memory" in err
 
     def test_delay_config(self, capsys):
         assert run(["errorbound", "--config", "sim-delay"]) == 0

@@ -126,12 +126,12 @@ class TestSpreadMoments:
     def test_variance_matches_quadrature(self, sim_params, tau):
         closed = error_bounds.variance_spread(tau, sim_params)
         quad = oracle.variance_spread_quadrature(tau, sim_params)
-        assert closed == pytest.approx(quad, rel=1e-10)
+        assert closed == pytest.approx(quad, rel=1e-13)
 
     def test_variance_matches_quadrature_stiff(self, table_params):
         closed = error_bounds.variance_spread(24 * HOUR, table_params)
         quad = oracle.variance_spread_quadrature(24 * HOUR, table_params)
-        assert closed == pytest.approx(quad, rel=1e-9)
+        assert closed == pytest.approx(quad, rel=1e-13)
 
     def test_variance_hand_integrable_case(self):
         """With rho=1, nu=0, sigma0 = r k, sigma_d = k the integrand is
@@ -254,6 +254,15 @@ class TestJumpBound:
                                          sim_params_eta200)
         # negative jumps can only worsen the shortfall risk
         assert rep1.bound > plain.bound
+
+    def test_oversized_jump_draw_rejected(self, sim_params_eta200):
+        """1e9 jumps a day would need terabytes of jump times per chunk on
+        any machine: refused before anything is allocated."""
+        jumps = JumpParams(lam=1e9 / DAY, p_plus=0.3, delta_plus=1500.0,
+                           delta_minus=-1500.0, pi_plus=10.0, pi_minus=-10.0)
+        with pytest.raises(ValueError, match="physical memory"):
+            error_bounds.error_bound_jump(24 * HOUR, 50_000.0, 50.0,
+                                          sim_params_eta200, jumps)
 
     def test_small_sample_count_rejected(self, sim_params_eta200,
                                          jumps_negative):

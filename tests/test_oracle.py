@@ -1,12 +1,15 @@
 """Tests for the independent ODE / quadrature / Monte Carlo oracle."""
 
+import dataclasses
 import hashlib
 
+import mpmath
 import numpy as np
 import pytest
 
-from intraday import closed_form, oracle, simulate
-from intraday.model import HOUR, ModelParams
+from intraday import cli, closed_form, oracle, simulate
+from intraday.model import (DAY, HOUR, JumpParams, ModelParams,
+                            load_param_file, reduced_cost_coefficient)
 
 
 class TestRk4Integration:
@@ -114,6 +117,37 @@ class TestQuadrature:
     def test_positive(self, sim_params):
         assert oracle.variance_spread_quadrature(3600.0, sim_params) > 0.0
 
+    @pytest.mark.parametrize("tau", [60.0, HOUR, None],
+                             ids=["60s", "1h", "horizon"])
+    @pytest.mark.parametrize("pure_trader", [False, True],
+                             ids=["beta", "pure-trader"])
+    @pytest.mark.parametrize("preset", ["sim-nojump", "sim-jump-pos",
+                                        "sim-jump-neg", "sim-delay",
+                                        "table13"])
+    def test_matches_40_digit_mpmath(self, preset, pure_trader, tau):
+        """The variance integral against mpmath's tanh-sinh at 40 digits,
+        split at decades of the boundary-layer width 2 gamma / (r + nu),
+        independently of the log-time substitution."""
+        params, _, _ = load_param_file(cli.resolve_config(preset, preset))
+        if pure_trader:
+            params = dataclasses.replace(params, beta=None)
+        tau = params.horizon if tau is None else tau
+        s0, sd, nu, gamma, rho, r = map(mpmath.mpf, (
+            params.sigma0, params.sigma_d, params.nu, params.gamma,
+            params.rho, reduced_cost_coefficient(params)))
+
+        def integrand(s):
+            lin = nu * s + 2 * gamma
+            return (s0**2 * s**2 + sd**2 * lin**2 + 2 * rho * s0 * sd * s * lin
+                    ) / ((r + nu) * s + 2 * gamma) ** 2
+
+        with mpmath.workdps(40):
+            width = 2 * gamma / (r + nu)
+            splits = [width * 10**k for k in range(30) if width * 10**k < tau]
+            exact = mpmath.quad(integrand, [0, *splits, tau])
+            value = oracle.variance_spread_quadrature(tau, params)
+            assert float(abs(value - exact) / exact) <= 1e-14
+
 
 class TestOptimalityProbe:
     def test_all_profiles_increase_cost(self, sim_params):
@@ -185,6 +219,37 @@ class TestVerificationReport:
                                             n_paths=0, n_steps=2000)
         assert set(report["checks"]) == {"riccati_ode", "jump_riccati_ode",
                                          "variance_quadrature"}
+
+    def test_pure_trader_passes(self, sim_params):
+        """The variance integrand's boundary layer at tau = 0 is resolved
+        for the pure trader too."""
+        report = oracle.verification_report(
+            dataclasses.replace(sim_params, beta=None), n_steps=2000)
+        assert report["passed"], report
+
+    @pytest.mark.parametrize("lam, integrations", [(None, 1), (0.0, 1),
+                                                   (1.5 / DAY, 2)])
+    def test_one_integration_per_distinct_system(self, sim_params, monkeypatch,
+                                                 lam, integrations):
+        """Without jumps the jump system is the no-jump system, so it is
+        integrated once and both ODE checks report that integration."""
+        calls, integrate = [], oracle._integrate
+
+        def counted(*args):
+            calls.append(args)
+            return integrate(*args)
+
+        monkeypatch.setattr(oracle, "_integrate", counted)
+        jumps = None if lam is None else JumpParams(
+            lam=lam, p_plus=0.3, delta_plus=1500.0, delta_minus=-1500.0,
+            pi_plus=10.0, pi_minus=-10.0)
+        report = oracle.verification_report(
+            dataclasses.replace(sim_params, beta=None), jumps, n_steps=500)
+        assert len(calls) == integrations
+        checks = report["checks"]
+        assert list(checks["riccati_ode"]) == list(checks["jump_riccati_ode"])
+        if integrations == 1:
+            assert checks["riccati_ode"] == checks["jump_riccati_ode"]
 
     def test_format_report_mentions_status(self, sim_params):
         report = {"passed": True,
