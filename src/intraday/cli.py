@@ -23,7 +23,8 @@ delay       Print the delay constant, delayed value and bound, production
 ``--config`` accepts either a bundled preset name (table13, sim-nojump,
 sim-jump-pos, sim-jump-neg, sim-delay) or a path to a JSON parameter file.
 Any other option is a usage error.  Exit codes: 0 success, 1 validation
-or usage error, 2 verification failure, 3 I/O error.
+or usage error, 2 verification failure (or an oracle integration that blew
+up), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -60,10 +61,6 @@ SCENARIO_PRESETS = {
 _TINY = 1e-16
 
 
-class VerificationFailure(Exception):
-    pass
-
-
 def resolve_config(name_or_path: str | None, default: str) -> Path:
     """Map a preset name or filesystem path to a parameter file path."""
     name = name_or_path or default
@@ -75,15 +72,6 @@ def resolve_config(name_or_path: str | None, default: str) -> Path:
         raise ValueError(f"config {name!r} is neither a bundled preset "
                          f"({', '.join(PRESETS)}) nor an existing file")
     return path
-
-
-def _initial_state(args) -> MarketState:
-    """Initial state from the command line; rejects non-finite values."""
-    return MarketState(t=0.0, x=args.x0, y=args.y0, d=args.d0)
-
-
-def _format_value(value: float) -> str:
-    return f"{value:.3g}"
 
 
 def _format_tail(value: float) -> str:
@@ -125,15 +113,9 @@ def cmd_tables(args) -> int:
                          "error_bound_eur\n")
             for varied, value, prob, bound in rows:
                 handle.write(f"{varied},{_format_tail(prob)},"
-                             f"{_format_value(value)},{_format_tail(bound)}\n")
+                             f"{value:.3g},{_format_tail(bound)}\n")
         print(f"wrote {path}")
     return 0
-
-
-def _build_policy(params, jumps, delay_seconds):
-    if delay_seconds is not None:
-        return delay_mod.composite_delay_policy(params, delay_seconds)
-    return simulate.optimal_policy(params, jumps)
 
 
 def cmd_simulate(args) -> int:
@@ -143,7 +125,10 @@ def cmd_simulate(args) -> int:
                          f"of {', '.join(SCENARIO_PRESETS)}")
     params, jumps, delay_seconds = load_param_file(
         resolve_config(args.config, default or "sim-nojump"))
-    policy = _build_policy(params, jumps, delay_seconds)
+    if delay_seconds is not None:
+        policy = delay_mod.composite_delay_policy(params, delay_seconds)
+    else:
+        policy = simulate.optimal_policy(params, jumps)
     paths = simulate.sample_paths(
         params, jumps, policy, args.paths, args.dt, args.seed,
         d0=args.d0, y0=args.y0, x0=args.x0)
@@ -172,7 +157,8 @@ def cmd_verify(args) -> int:
         (out / "report.json").write_text(json.dumps(report, indent=2) + "\n")
         print(f"wrote {out / 'report.txt'} and {out / 'report.json'}")
     if not report["passed"]:
-        raise VerificationFailure("verification checks failed")
+        print("error: verification checks failed", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -181,11 +167,11 @@ def cmd_errorbound(args) -> int:
     params, jumps, delay_seconds = load_param_file(
         resolve_config(args.config, "sim-nojump"))
     tau = params.horizon
-    state = _initial_state(args)
+    state = MarketState(t=0.0, x=args.x0, y=args.y0, d=args.d0)
     if delay_seconds is not None:
         report = delay_mod.error_bound_delay(state, params, delay_seconds)
         kind = f"delay (h = {delay_seconds / HOUR:g} h)"
-    elif jumps is not None:
+    elif jumps is not None and jumps.lam > 0.0:
         report = error_bounds.error_bound_jump(
             tau, state.spread, state.y, params, jumps, seed=args.seed)
         kind = "jump"
@@ -209,7 +195,7 @@ def cmd_delay(args) -> int:
     if h is None:
         raise ValueError("no delay configured; set delay_hours in the config "
                          "or pass --delay-hours")
-    state = _initial_state(args)
+    state = MarketState(t=0.0, x=args.x0, y=args.y0, d=args.d0)
     k_h = delay_mod.delay_constant(h, params)
     value = delay_mod.value_aux_delay(state, params, h)
     bound = delay_mod.error_bound_delay(state, params, h)
@@ -280,15 +266,14 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except VerificationFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except ValueError as exc:  # json.JSONDecodeError included
+        error, code = exc, 1
+    except RuntimeError as exc:  # the oracle could not integrate the config
+        error, code = exc, 2
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        error, code = exc, 3
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -15,10 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
-import numpy as np
-
 from . import closed_form, error_bounds, simulate
-from .model import ModelParams, reduced_cost_coefficient
+from .model import (ModelParams, optimal_production_constrained,
+                    optimal_production_unconstrained, reduced_cost_coefficient)
 
 
 def _check_delay(h: float, params: ModelParams) -> None:
@@ -65,16 +64,14 @@ def production_rule_delay(spread, y, params: ModelParams, h: float,
     """Optimal production fixed h before delivery from the state at T - h.
 
     ``xi_h(d, y) = (eta/(eta+beta)) m(h, d, y)`` where ``m`` is the mean
-    terminal spread over the remaining h seconds; the constrained variant
-    clips negative values to zero.  h = 0 reduces to the no-delay rules.
+    terminal spread over the remaining h seconds: the model's production
+    rules applied to ``m``.  h = 0 reduces to the no-delay rules.
     """
     _check_delay(h, params)
-    inner = error_bounds.mean_spread(h, spread, y, params)
-    xi = params.eta / (params.eta + params.beta) * inner
+    m_h = error_bounds.mean_spread(h, spread, y, params)
     if constrained:
-        xi = np.where(np.asarray(xi) >= 0.0, xi, 0.0)
-        return xi if xi.ndim else float(xi)
-    return xi
+        return optimal_production_constrained(m_h, params)
+    return optimal_production_unconstrained(m_h, params)
 
 
 def variance_spread_delay(h: float, params: ModelParams) -> float:

@@ -25,16 +25,11 @@ import numpy as np
 HOUR = 3600.0
 DAY = 86400.0
 
-#: Keys accepted in a parameter file (top level).
-_PARAM_KEYS = {
-    "sigma0", "sigma_d", "beta", "eta", "mu", "nu", "gamma", "rho",
-    "horizon_hours", "jump", "delay_hours",
-}
-#: Keys accepted inside the optional "jump" block.
-_JUMP_KEYS = {
-    "lambda_per_day", "p_plus", "delta_plus", "delta_minus",
-    "pi_plus", "pi_minus",
-}
+#: Required keys of a parameter file (top level) and of its "jump" block.
+_PARAM_KEYS = ("sigma0", "sigma_d", "beta", "eta", "mu", "nu", "gamma", "rho",
+               "horizon_hours")
+_JUMP_KEYS = ("lambda_per_day", "p_plus", "delta_plus", "delta_minus",
+              "pi_plus", "pi_minus")
 
 
 def _check_finite(record, names) -> None:
@@ -265,10 +260,27 @@ def cost_after_production(spread, params: ModelParams, constrained: bool = True)
     return out if out.ndim else float(out)
 
 
-def _as_number(value, key: str) -> float:
+def _as_number(value, key: str) -> float | None:
+    if key == "beta" and value is None:
+        return None  # pure trader
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"parameter {key!r} must be a number, got {value!r}")
     return float(value)
+
+
+def _read_block(block, keys, optional, what: str, path) -> dict:
+    """Numbers under the required ``keys`` and the present ``optional`` keys
+    of a JSON object; ``what`` names the block in the messages."""
+    if not isinstance(block, dict):
+        raise ValueError(f"{path}: {what} block must be a JSON object")
+    unknown = set(block) - {*keys, *optional}
+    if unknown:
+        raise ValueError(f"{path}: unknown {what} keys {sorted(unknown)}")
+    missing = set(keys) - set(block)
+    if missing:
+        raise ValueError(f"{path}: missing {what} keys {sorted(missing)}")
+    return {key: _as_number(block[key], key)
+            for key in (*keys, *optional) if key in block}
 
 
 def load_param_file(path) -> tuple[ModelParams, JumpParams | None, float | None]:
@@ -286,54 +298,15 @@ def load_param_file(path) -> tuple[ModelParams, JumpParams | None, float | None]
         Parameters, optional jump component, optional delay in seconds.
     """
     raw = json.loads(Path(path).read_text())
-    if not isinstance(raw, dict):
-        raise ValueError(f"{path}: parameter file must be a JSON object")
-    unknown = set(raw) - _PARAM_KEYS
-    if unknown:
-        raise ValueError(f"{path}: unknown parameter keys {sorted(unknown)}")
-    missing = _PARAM_KEYS - {"jump", "delay_hours"} - set(raw)
-    if missing:
-        raise ValueError(f"{path}: missing parameter keys {sorted(missing)}")
-
-    beta = raw["beta"]
-    if beta is not None:
-        beta = _as_number(beta, "beta")
-    params = ModelParams(
-        sigma0=_as_number(raw["sigma0"], "sigma0"),
-        sigma_d=_as_number(raw["sigma_d"], "sigma_d"),
-        beta=beta,
-        eta=_as_number(raw["eta"], "eta"),
-        mu=_as_number(raw["mu"], "mu"),
-        nu=_as_number(raw["nu"], "nu"),
-        gamma=_as_number(raw["gamma"], "gamma"),
-        rho=_as_number(raw["rho"], "rho"),
-        horizon=_as_number(raw["horizon_hours"], "horizon_hours") * HOUR,
-    )
-
     jumps = None
-    if "jump" in raw:
-        block = raw["jump"]
-        if not isinstance(block, dict):
-            raise ValueError(f"{path}: 'jump' must be an object")
-        unknown = set(block) - _JUMP_KEYS
-        if unknown:
-            raise ValueError(f"{path}: unknown jump keys {sorted(unknown)}")
-        missing = _JUMP_KEYS - set(block)
-        if missing:
-            raise ValueError(f"{path}: missing jump keys {sorted(missing)}")
-        jumps = JumpParams(
-            lam=_as_number(block["lambda_per_day"], "lambda_per_day") / DAY,
-            p_plus=_as_number(block["p_plus"], "p_plus"),
-            delta_plus=_as_number(block["delta_plus"], "delta_plus"),
-            delta_minus=_as_number(block["delta_minus"], "delta_minus"),
-            pi_plus=_as_number(block["pi_plus"], "pi_plus"),
-            pi_minus=_as_number(block["pi_minus"], "pi_minus"),
-        )
-
-    delay = None
-    if "delay_hours" in raw:
-        delay = _as_number(raw["delay_hours"], "delay_hours") * HOUR
+    if isinstance(raw, dict) and "jump" in raw:
+        block = _read_block(raw.pop("jump"), _JUMP_KEYS, (), "jump", path)
+        jumps = JumpParams(lam=block.pop("lambda_per_day") / DAY, **block)
+    top = _read_block(raw, _PARAM_KEYS, ("delay_hours",), "parameter", path)
+    delay = top.pop("delay_hours", None)
+    params = ModelParams(horizon=top.pop("horizon_hours") * HOUR, **top)
+    if delay is not None:
+        delay *= HOUR
         if not 0.0 <= delay <= params.horizon:
             raise ValueError(f"{path}: delay_hours must lie in [0, horizon]")
-
     return params, jumps, delay

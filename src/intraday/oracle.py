@@ -200,23 +200,11 @@ def variance_spread_quadrature(tau: float, params: ModelParams) -> float:
     return float(0.5 * width * (weights * integrand * scale * np.exp(u)).sum())
 
 
-#: Deterministic bump profiles for the optimality probe.
-def _profile_constant(_horizon: float) -> Callable[[float], float]:
-    return lambda s: 1.0
-
-
-def _profile_early(horizon: float) -> Callable[[float], float]:
-    return lambda s: 1.0 if s < horizon / 4.0 else 0.0
-
-
-def _profile_late(horizon: float) -> Callable[[float], float]:
-    return lambda s: 1.0 if s >= 3.0 * horizon / 4.0 else 0.0
-
-
+#: Deterministic bump profiles for the optimality probe, per horizon.
 PROBE_PROFILES = {
-    "constant": _profile_constant,
-    "early": _profile_early,
-    "late": _profile_late,
+    "constant": lambda horizon: lambda s: 1.0,
+    "early": lambda horizon: lambda s: 1.0 if s < horizon / 4.0 else 0.0,
+    "late": lambda horizon: lambda s: 1.0 if s >= 3.0 * horizon / 4.0 else 0.0,
 }
 
 
@@ -244,22 +232,21 @@ def optimality_probe(params: ModelParams, jumps: JumpParams | None,
     """
     if perturbation_scale <= 0:
         raise ValueError("perturbation_scale must be positive")
-    base = simulate.sample_paths(params, jumps, base_policy, n_paths, dt, seed,
-                                 d0=d0, y0=y0, record_every=None)
-    base_cost = base.running_cost + np.asarray(
-        terminal_cost(base.terminal_spread, base.xi, params), dtype=float)
+
+    def realized_cost(policy):
+        paths = simulate.sample_paths(params, jumps, policy, n_paths, dt, seed,
+                                      d0=d0, y0=y0, record_every=None)
+        return paths.running_cost + terminal_cost(paths.terminal_spread,
+                                                  paths.xi, params)
+
+    base_cost = realized_cost(base_policy)
     results = []
     for name, make_profile in PROBE_PROFILES.items():
         profile = make_profile(params.horizon)
         for factor in epsilon_factors:
             eps = perturbation_scale * factor
-            policy = simulate.perturbed_policy(base_policy, eps, profile)
-            paths = simulate.sample_paths(params, jumps, policy, n_paths, dt,
-                                          seed, d0=d0, y0=y0, record_every=None)
-            cost = paths.running_cost + np.asarray(
-                terminal_cost(paths.terminal_spread, paths.xi, params),
-                dtype=float)
-            diff = cost - base_cost
+            diff = realized_cost(simulate.perturbed_policy(
+                base_policy, eps, profile)) - base_cost
             stderr = float(diff.std(ddof=1) / math.sqrt(n_paths))
             results.append(ProbeResult(profile=name, epsilon=eps,
                                        mean_increase=float(diff.mean()),

@@ -284,7 +284,8 @@ def check_grid(params: ModelParams, jumps: JumpParams | None, n_paths: int,
 
     Rejects a non-positive path count, a ``dt`` that is not finite or does
     not divide the horizon, a ``dt`` too coarse for the jumps, a bad
-    ``record_every``, and a run whose arrays exceed physical memory.
+    ``record_every``, and a run whose arrays or one path's jump draws
+    exceed physical memory.
     Returns the number of Euler steps.
     """
     if n_paths < 1:
@@ -307,6 +308,12 @@ def check_grid(params: ModelParams, jumps: JumpParams | None, n_paths: int,
     needed = (n_paths * n_recorded * 6
               + min(n_paths, _CHUNK) * (n_steps + 1) * 5) * 8
     model.check_memory(needed, f"{n_paths} paths at dt = {dt:g} s")
+    if jumps is not None:
+        # one path's jump draws peak at about 57 B each (tracemalloc): the
+        # float list and arrays of _draw_jumps, then the scatter temporaries
+        draws = jumps.lam * params.horizon
+        model.check_memory(64 * draws, f"{draws:.3g} expected jump draws "
+                           "per path")
     return n_steps
 
 

@@ -13,6 +13,14 @@ def run(argv):
     return cli.main(argv)
 
 
+def edited_preset(config, name, edit):
+    """Write preset ``name`` to ``config`` after ``edit(payload)``."""
+    payload = json.loads(cli.resolve_config(name, name).read_text())
+    edit(payload)
+    config.write_text(json.dumps(payload))
+    return str(config)
+
+
 class TestTables:
     def test_writes_three_tables(self, tmp_path):
         assert run(["tables", "--out", str(tmp_path)]) == 0
@@ -89,13 +97,21 @@ class TestVerify:
         assert run(["verify", "--paths", "400", "--out", str(tmp_path)]) == 2
         assert "verification checks failed" in capsys.readouterr().err
 
+    def test_blown_up_integration_exits_2(self, tmp_path, capsys):
+        """sigma0 = 1e20 makes the RK4 oracle blow up at its first step:
+        the config is not verified, and no traceback is printed."""
+        config = edited_preset(tmp_path / "loud.json", "sim-jump-neg",
+                               lambda p: p.update(sigma0=1e20))
+        assert run(["verify", "--config", config,
+                    "--out", str(tmp_path / "report")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: Riccati integration blew up")
+        assert "Traceback" not in err
+
     def test_pure_trader_passes(self, tmp_path, capsys):
-        payload = json.loads(cli.resolve_config("sim-nojump", "sim-nojump")
-                             .read_text())
-        payload["beta"] = None
-        config = tmp_path / "pure-trader.json"
-        config.write_text(json.dumps(payload))
-        assert run(["verify", "--config", str(config),
+        config = edited_preset(tmp_path / "pure-trader.json", "sim-nojump",
+                               lambda p: p.update(beta=None))
+        assert run(["verify", "--config", config,
                     "--out", str(tmp_path / "report")]) == 0
         captured = capsys.readouterr()
         assert "overall: PASS" in captured.out
@@ -115,13 +131,25 @@ class TestErrorBound:
         assert "model: jump" in out
         assert "mc stderr" in out
 
+    def test_zero_jump_intensity_is_the_no_jump_bound(self, tmp_path,
+                                                      capsys):
+        """A jump block with lambda_per_day = 0 adds nothing, so the output,
+        label included, is that of the same file without the block."""
+        zero = edited_preset(tmp_path / "zero.json", "sim-jump-neg",
+                             lambda p: p["jump"].update(lambda_per_day=0))
+        plain = edited_preset(tmp_path / "plain.json", "sim-jump-neg",
+                              lambda p: p.pop("jump"))
+        assert run(["errorbound", "--config", zero]) == 0
+        with_block = capsys.readouterr().out
+        assert run(["errorbound", "--config", plain]) == 0
+        assert with_block == capsys.readouterr().out
+        assert "model: no-jump" in with_block
+
     def test_oversized_jump_draw_exits_1(self, tmp_path, capsys):
-        payload = json.loads(cli.resolve_config("sim-jump-neg", "sim-jump-neg")
-                             .read_text())
-        payload["jump"]["lambda_per_day"] = 1e9
-        config = tmp_path / "frequent-jumps.json"
-        config.write_text(json.dumps(payload))
-        assert run(["errorbound", "--config", str(config)]) == 1
+        config = edited_preset(
+            tmp_path / "frequent-jumps.json", "sim-jump-neg",
+            lambda p: p["jump"].update(lambda_per_day=1e9))
+        assert run(["errorbound", "--config", config]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "physical memory" in err
 
@@ -248,6 +276,57 @@ class TestOversizedGrid:
         assert run(["verify", *argv, "--out", "report"]) == 1
         assert message in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+
+class TestOversizedJumpDraws:
+    """1e12 jumps per day would be drawn path by path until the memory ran
+    out; both commands that simulate refuse them before anything runs."""
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_exits_1_before_the_oracle(self, command, tmp_path, monkeypatch,
+                                       capsys):
+        def not_called(*args, **kwargs):
+            raise AssertionError("the oracle ran before the grid check")
+
+        monkeypatch.setattr(oracle, "integrate_riccati", not_called)
+        config = edited_preset(
+            tmp_path / "frequent.json", "sim-jump-neg",
+            lambda p: p["jump"].update(lambda_per_day=1e12))
+        monkeypatch.chdir(tmp_path)
+        assert run([command, "--config", config, "--out", "out"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "jump draws per path" in err
+        assert not (tmp_path / "out").exists()
+
+
+class TestGoldenOutputs:
+    """sha256 of outputs that no other test pins byte for byte."""
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["errorbound", "--config", "sim-nojump"],
+         "ff31b7a0b2d82e49ea976e207064dc6bcbdc1f11857c611408f2325ba97ffa07"),
+        (["errorbound", "--config", "sim-jump-neg"],
+         "97ad1a82c6add77aaef984a82b69b052bad41354fe4e06f433523d020df13e2f"),
+        (["errorbound", "--config", "sim-delay"],
+         "85b438e1684bec0d8bb632c18d6df4991e458bc6376bcc5931c5d1ad9dc31312"),
+        (["errorbound", "--config", "table13"],
+         "35b371e7ee1fc2e674a487db34bc65622b6c12fb0db607bf23c19c973d2df48e"),
+        (["delay"],
+         "0a875bceeef72db46c0ffb43eef610dd7f764d423df2157303c186e55bc76fff"),
+        (["delay", "--delay-hours", "0"],
+         "f5ad344e71184b3c36fd307466381f1771e6f598e3f5a55df18b157f7d55b20d"),
+    ])
+    def test_stdout(self, argv, digest, capsys):
+        assert run(argv) == 0
+        assert hashlib.sha256(
+            capsys.readouterr().out.encode()).hexdigest() == digest
+
+    def test_delay_scenario_csv(self, tmp_path):
+        assert run(["simulate", "--scenario", "delay", "--paths", "40",
+                    "--dt", "60", "--out", str(tmp_path)]) == 0
+        data = (tmp_path / "paths.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == (
+            "1f29412f5357d0e09c656244cde15bfaaeb926150e740288b70a06a38bb039bd")
 
 
 class TestConfigHandling:

@@ -263,6 +263,56 @@ class TestLoadParamFile:
             load_param_file(path)
 
 
+#: Float hex of every field that load_param_file returns for the bundled
+#: presets and a jump + delay file: sim-jump-neg's values and the variations.
+SIM_HEX = dict(sigma0="0x1.1111111111111p-6", sigma_d="0x1.0aaaaaaaaaaabp+4",
+               beta="0x1.0624dd2f1a9fcp-9", eta="0x1.9000000000000p+7",
+               mu="0x0.0p+0", nu="0x1.4f8b588e368f1p-15",
+               gamma="0x1.1c28f5c28f5c3p+1", rho="0x1.999999999999ap-1",
+               horizon="0x1.5180000000000p+16")
+ETA100_HEX = dict(SIM_HEX, eta="0x1.9000000000000p+6")
+JUMP_HEX = dict(lam="0x1.23456789abcdfp-16", p_plus="0x1.3333333333333p-2",
+                delta_plus="0x1.7700000000000p+10",
+                delta_minus="-0x1.7700000000000p+10",
+                pi_plus="0x1.4000000000000p+3", pi_minus="-0x1.4000000000000p+3")
+DELAY_HEX = "0x1.c200000000000p+13"
+GOLDEN_PRESETS = {
+    "table13": (dict(SIM_HEX, nu="0x1.b7cdfd9d7bdbbp-34",
+                     gamma="0x1.b7cdfd9d7bdbbp-34"), None, None),
+    "sim-nojump": (ETA100_HEX, None, None),
+    "sim-jump-pos": (SIM_HEX, dict(JUMP_HEX, p_plus="0x1.0000000000000p+0"),
+                     None),
+    "sim-jump-neg": (SIM_HEX, JUMP_HEX, None),
+    "sim-delay": (SIM_HEX, None, DELAY_HEX),
+}
+
+
+def float_hex(loaded):
+    """``load_param_file``'s result with every float as its hex string."""
+    def fields(record):
+        return None if record is None else {
+            key: float(value).hex() for key, value in vars(record).items()}
+
+    params, jumps, delay = loaded
+    return fields(params), fields(jumps), None if delay is None else delay.hex()
+
+
+class TestGoldenLoad:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_PRESETS))
+    def test_presets(self, name):
+        from intraday.cli import resolve_config
+        loaded = load_param_file(resolve_config(name, name))
+        assert float_hex(loaded) == GOLDEN_PRESETS[name]
+
+    def test_round_trip_file(self, tmp_path):
+        payload = dict(BASE_CONFIG, delay_hours=4)
+        payload["jump"] = {"lambda_per_day": 1.5, "p_plus": 0.3,
+                           "delta_plus": 1500, "delta_minus": -1500,
+                           "pi_plus": 10, "pi_minus": -10}
+        loaded = load_param_file(write_config(tmp_path, payload))
+        assert float_hex(loaded) == (ETA100_HEX, JUMP_HEX, DELAY_HEX)
+
+
 class TestPresets:
     @pytest.mark.parametrize("name", ["table13", "sim-nojump", "sim-jump-pos",
                                       "sim-jump-neg", "sim-delay"])

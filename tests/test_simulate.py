@@ -63,16 +63,21 @@ class TestValidation:
         (dict(n_paths=10**400), "physical memory"),
         (dict(n_paths=10**12), "physical memory"),
         (dict(n_paths=10**12, record_every=None), "physical memory"),
+        # drawn path by path, 1e12 jumps a day would run out of memory
+        (dict(jumps=JumpParams(lam=1e12 / DAY, p_plus=0.3, delta_plus=1500.0,
+                               delta_minus=-1500.0, pi_plus=10.0,
+                               pi_minus=-10.0)),
+         "jump draws per path .* physical memory"),
     ])
     def test_oversized_grid_rejected_before_allocating(self, sim_params,
                                                        kwargs, message):
         policy = simulate.zero_policy(sim_params)
-        args = dict(n_paths=1, dt=60.0, record_every=1)
+        args = dict(n_paths=1, dt=60.0, record_every=1, jumps=None)
         args.update(kwargs)
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=message):
-                simulate.sample_paths(sim_params, None, policy,
+                simulate.sample_paths(sim_params, args["jumps"], policy,
                                       args["n_paths"], args["dt"], 0,
                                       record_every=args["record_every"])
             peak = tracemalloc.get_traced_memory()[1]
