@@ -4,10 +4,12 @@ The closed forms in :mod:`intraday.closed_form` are transcriptions of the
 solutions of two Riccati ODE systems (with and without jumps).  This
 module re-derives the coefficients by fixed-step classical 4th-order
 integration of those systems from their initial conditions, cross-checks
-the closed-form variance integral by fixed composite Gauss–Legendre in
-log time, and probes the optimality of the feedback rate by Monte Carlo
-perturbation with common random numbers.  Nothing here is used in the
-production evaluation path.
+the closed-form variance integral by fixed composite Gauss–Legendre, and
+probes the optimality of the feedback rate by Monte Carlo perturbation
+with common random numbers.  Integration and quadrature both step in the
+log time s, tau = scale (e^s - 1) with scale = 2 gamma / (r + nu), which
+resolves the boundary layer of width ~scale at tau = 0 at any stiffness.
+Nothing here is used in the production evaluation path.
 
 The RK4 state is a 6-tuple of Python floats rather than a numpy array: on
 six numbers numpy's per-call overhead dominated, and the float form runs
@@ -34,8 +36,8 @@ from .model import (JumpParams, MarketState, ModelParams, check_seed,
 ODE_RTOL = 1e-8
 ODE_RTOL_STIFF = 1e-5
 
-#: Ratio (r + nu) tau / (2 gamma) beyond which the integrator switches to
-#: a logarithmic time-to-go substitution resolving the boundary layer.
+#: Stiffness ratio (r + nu) tau / (2 gamma) beyond which the comparison
+#: uses ``ODE_RTOL_STIFF``.
 _STIFF_RATIO = 1e4
 
 _BLOWUP = 1e30
@@ -50,11 +52,12 @@ class OdeSolution:
 
     ``coeffs`` has one row per grid node with columns (a, b, f, g, h, k)
     — for the jump system (g, h, k) are the jump-corrected coefficients.
+    ``stiff``: tau spans more than ``_STIFF_RATIO`` boundary-layer widths.
     """
 
     tau: np.ndarray
     coeffs: np.ndarray
-    transformed: bool
+    stiff: bool
 
 
 def _rhs(params: ModelParams, jumps: JumpParams | None
@@ -102,25 +105,9 @@ def _integrate(params: ModelParams, jumps: JumpParams | None, tau_max: float,
         raise ValueError("n_steps must be positive")
     r = reduced_cost_coefficient(params)
     scale = 2.0 * params.gamma / (r + params.nu)
-    transformed = tau_max / scale > _STIFF_RATIO
-
-    if transformed:
-        # Substitute tau = scale (e^s - 1): uniform steps in s resolve the
-        # boundary layer near tau = 0 without changing the system.
-        s_max = math.log1p(tau_max / scale)
-        def tau_of(s: float) -> float:
-            return scale * math.expm1(s)
-        def speed(s: float) -> float:
-            return scale * math.exp(s)
-        h = s_max / n_steps
-        grid_s = np.linspace(0.0, s_max, n_steps + 1).tolist()
-    else:
-        def tau_of(s: float) -> float:
-            return s
-        def speed(s: float) -> float:
-            return 1.0
-        h = tau_max / n_steps
-        grid_s = np.linspace(0.0, tau_max, n_steps + 1).tolist()
+    s_max = math.log1p(tau_max / scale)
+    h = s_max / n_steps
+    grid_s = np.linspace(0.0, s_max, n_steps + 1).tolist()
 
     rhs = _rhs(params, jumps)
     half, sixth = 0.5 * h, h / 6.0
@@ -129,11 +116,13 @@ def _integrate(params: ModelParams, jumps: JumpParams | None, tau_max: float,
     coeffs[0] = v
     for i in range(n_steps):
         s = grid_s[i]
-        try:
-            k1 = rhs(v, speed(s))
-            k2 = rhs([x + half * y for x, y in zip(v, k1)], speed(s + half))
-            k3 = rhs([x + half * y for x, y in zip(v, k2)], speed(s + half))
-            k4 = rhs([x + h * y for x, y in zip(v, k3)], speed(s + h))
+        try:  # the time-change speed dtau/ds is scale e^s
+            mid = scale * math.exp(s + half)
+            k1 = rhs(v, scale * math.exp(s))
+            k2 = rhs([x + half * y for x, y in zip(v, k1)], mid)
+            k3 = rhs([x + half * y for x, y in zip(v, k2)], mid)
+            k4 = rhs([x + h * y for x, y in zip(v, k3)],
+                     scale * math.exp(s + h))
         except OverflowError:  # float ** raises where numpy returned inf
             v = (math.inf,)
         else:
@@ -144,8 +133,9 @@ def _integrate(params: ModelParams, jumps: JumpParams | None, tau_max: float,
                 f"Riccati integration blew up at step {i + 1}/{n_steps}; "
                 "reduce the step size")
         coeffs[i + 1] = v
-    tau_grid = np.array([tau_of(s) for s in grid_s])
-    return OdeSolution(tau=tau_grid, coeffs=coeffs, transformed=transformed)
+    tau_grid = np.array([scale * math.expm1(s) for s in grid_s])
+    return OdeSolution(tau=tau_grid, coeffs=coeffs,
+                       stiff=tau_max / scale > _STIFF_RATIO)
 
 
 def integrate_riccati(params: ModelParams, tau_max: float,
@@ -181,7 +171,7 @@ def compare_with_closed_form(solution: OdeSolution, params: ModelParams,
 def variance_spread_quadrature(tau: float, params: ModelParams) -> float:
     """Gauss–Legendre cross-check of the closed-form variance V.
 
-    Uses 32 panels of 20 nodes in the log time u of ``_integrate``,
+    Uses 32 panels of 20 nodes in the same log time u as the RK4 oracle,
     s = scale (e^u - 1) with scale = 2 gamma / (r + nu): the integrand's
     boundary layer of width ~scale at s = 0 gets as many nodes as the rest
     of the interval, and every preset is integrated to ~1e-15.
@@ -257,8 +247,7 @@ def optimality_probe(params: ModelParams, jumps: JumpParams | None,
 def verification_report(params: ModelParams, jumps: JumpParams | None = None,
                         *, seed: int = 0, n_paths: int = 2000,
                         dt: float = 60.0, d0: float = 50_000.0,
-                        y0: float = 50.0, n_steps: int = 10_000,
-                        fuzz_points: int = 1000) -> dict:
+                        y0: float = 50.0) -> dict:
     """Run the full verification suite; returns a machine-readable dict.
 
     Checks: closed-form coefficients vs RK4 integration of both Riccati
@@ -275,12 +264,12 @@ def verification_report(params: ModelParams, jumps: JumpParams | None = None,
         simulate.check_grid(params, jumps, n_paths, dt, _RECORD_EVERY)
     checks = {}
 
-    sol = integrate_riccati(params, params.horizon, n_steps)
-    rtol = ODE_RTOL_STIFF if sol.transformed else ODE_RTOL
+    sol = integrate_riccati(params, params.horizon)
+    rtol = ODE_RTOL_STIFF if sol.stiff else ODE_RTOL
     errors = compare_with_closed_form(sol, params)
     errors_j = errors  # without jumps the jump system is the same system
     if jumps is not None and jumps.lam > 0.0:
-        sol_j = integrate_jump_riccati(params, jumps, params.horizon, n_steps)
+        sol_j = integrate_jump_riccati(params, jumps, params.horizon)
         errors_j = compare_with_closed_form(sol_j, params, jumps)
     for name, errs in (("riccati_ode", errors), ("jump_riccati_ode", errors_j)):
         checks[name] = {
@@ -302,7 +291,7 @@ def verification_report(params: ModelParams, jumps: JumpParams | None = None,
         rng = np.random.Generator(
             np.random.Philox(key=np.array([seed, 1], dtype=np.uint64)))
         worst = 0.0
-        for _ in range(fuzz_points):
+        for _ in range(1000):
             tau = float(rng.uniform(0.0, params.horizon))
             state = MarketState(t=0.0, x=float(rng.uniform(-1e4, 1e4)),
                                 y=float(rng.uniform(-100.0, 200.0)),

@@ -125,6 +125,9 @@ class DriftEstimate:
 def optimal_policy(params: ModelParams, jumps: JumpParams | None = None,
                    constrained: bool = True) -> Policy:
     """Optimal feedback policy: rate from the closed form, production at T."""
+    if params.pure_trader:  # it has no production rule to apply at T
+        raise ValueError("optimal policy requires finite beta; a pure "
+                         "trader is not simulated")
 
     def rate_rule(s, x, y, d):
         tau = params.horizon - s
@@ -399,15 +402,17 @@ def export_csv(paths: PathSet, destination) -> Path:
     Columns: time_s, path_id, X, Y, D, P_hat, q, jump_flag,
     xi_at_decision (the production quantity on its decision row, else 0).
     Floats are written with ``repr`` so parsing the file reproduces the
-    arrays bit-identically.
+    arrays bit-identically.  The decision node must be recorded.
     """
     destination = Path(destination)
+    record_pos = {float(t): pos for pos, t in enumerate(paths.times)}
+    decision_pos = record_pos.get(paths.production_index * paths.dt)
+    if decision_pos is None:
+        raise ValueError("the production decision node is not recorded; "
+                         "the CSV would lose xi")
     try:
         with destination.open("w", newline="") as handle:
             handle.write("time_s,path_id,X,Y,D,P_hat,q,jump_flag,xi_at_decision\n")
-            record_pos = {float(t): pos for pos, t in enumerate(paths.times)}
-            decision_time = paths.production_index * paths.dt
-            decision_pos = record_pos.get(decision_time)
             for path_id in range(paths.n_paths):
                 for pos, t in enumerate(paths.times):
                     xi = paths.xi[path_id] if pos == decision_pos else 0.0

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from intraday import cli, closed_form, oracle
+from intraday import cli, closed_form, oracle, simulate
 
 
 def run(argv):
@@ -68,6 +68,22 @@ class TestSimulate:
         assert run(["simulate", "--scenario", "jump-negative", "--paths", "1",
                     "--dt", "60", "--out", str(tmp_path)]) == 0
 
+    def test_pure_trader_exits_1_before_simulating(self, tmp_path,
+                                                   monkeypatch, capsys):
+        """A pure trader has no production rule for the optimal policy:
+        refused up front, not after every path has been simulated."""
+        def not_called(*args, **kwargs):
+            raise AssertionError("paths were simulated")
+
+        monkeypatch.setattr(simulate, "sample_paths", not_called)
+        config = edited_preset(tmp_path / "pure-trader.json", "sim-nojump",
+                               lambda p: p.update(beta=None))
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", config, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite beta" in err
+        assert not (out / "paths.csv").exists()
+
     def test_golden_csv_bytes(self, tmp_path):
         assert run(["simulate", "--scenario", "jump-negative", "--paths", "3",
                     "--dt", "60", "--out", str(tmp_path)]) == 0
@@ -107,6 +123,19 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("error: Riccati integration blew up")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("gamma", [0.05, 0.03, 0.0098])
+    def test_moderately_stiff_config_passes(self, gamma, tmp_path):
+        """Stiffness ratios 1.8e3 to 9.0e3, just under the relaxed
+        tolerance: the RK4 oracle must still meet 1e-8 on a correct closed
+        form (a linear-time grid missed it by up to 7e-3)."""
+        config = edited_preset(tmp_path / "stiff.json", "sim-nojump",
+                               lambda p: p.update(gamma=gamma))
+        out = tmp_path / "report"
+        assert run(["verify", "--config", config, "--out", str(out)]) == 0
+        ode = json.loads((out / "report.json").read_text())["checks"][
+            "riccati_ode"]
+        assert ode["tolerance"] == oracle.ODE_RTOL and ode["passed"]
 
     def test_pure_trader_passes(self, tmp_path, capsys):
         config = edited_preset(tmp_path / "pure-trader.json", "sim-nojump",

@@ -18,7 +18,6 @@ class TestRk4Integration:
                                             n_steps=2000)
         errors = oracle.compare_with_closed_form(solution, sim_params)
         assert max(errors.values()) <= 1e-6
-        assert not solution.transformed
 
     def test_jump_system_matches_closed_form(self, sim_params_eta200,
                                              jumps_negative):
@@ -32,9 +31,35 @@ class TestRk4Integration:
     def test_stiff_regime_uses_log_transform(self, table_params):
         solution = oracle.integrate_riccati(table_params, table_params.horizon,
                                             n_steps=4000)
-        assert solution.transformed
         errors = oracle.compare_with_closed_form(solution, table_params)
         assert max(errors.values()) <= 1e-5
+
+    @pytest.mark.parametrize("pure_trader", [False, True],
+                             ids=["beta", "pure-trader"])
+    @pytest.mark.parametrize("preset, with_jumps", [
+        *((name, with_jumps) for name in ("sim-nojump", "sim-jump-pos",
+                                          "sim-jump-neg", "sim-delay")
+          for with_jumps in (False, True)),
+        ("table13", False),
+        pytest.param("table13", True, marks=pytest.mark.xfail(
+            strict=True, reason="RK4 round-off at stiffness 8.6e11: "
+            "u2 = 1 - f + 2 nu b cancels to ~2 gamma / (r tau) = 1e-12, and "
+            "jumps make u3 nonzero, so the u2 u3 / (2 gamma) terms of dh "
+            "and dk err by 1e-5 to 1e-2 at 5000 to 40000 steps")),
+    ], ids=lambda v: {False: "no-jumps", True: "jumps"}.get(v, v))
+    def test_accuracy_floor(self, preset, with_jumps, pure_trader,
+                            jumps_negative):
+        """At the 10^4 steps of ``verify``, log-time RK4 meets the closed
+        forms to 1e-10 on every preset, stiff or not (worst measured:
+        1.7e-11, table13 pure trader).  Presets without a jump block take
+        the negative-dominant jumps in the jump case."""
+        params, jumps, _ = load_param_file(cli.resolve_config(preset, preset))
+        if pure_trader:
+            params = dataclasses.replace(params, beta=None)
+        jumps = (jumps or jumps_negative) if with_jumps else None
+        sol = oracle.integrate_jump_riccati(params, jumps, params.horizon)
+        errors = oracle.compare_with_closed_form(sol, params, jumps)
+        assert max(errors.values()) <= 1e-10
 
     def test_fourth_order_convergence(self, sim_params):
         """Halving the step divides the error by ~2^4 (classical RK4)."""
@@ -80,30 +105,30 @@ def _sha256(array):
 
 
 class TestRk4Bits:
-    """Golden sha256 of the oracle's coefficients and grid at 10^4 steps,
-    taken from the numpy-array RK4 that the Python-float RK4 replaced.  A
-    change to the oracle's arithmetic must edit these digests."""
-
-    TAU = "e320aaf45cda1ccc9d1e8c6da0f83e75be4d2864d0d9096667225ef7e3562f2b"
+    """Golden sha256 of the oracle's coefficients and grid at 10^4 steps.
+    The stiff table13 digests were taken from the numpy-array RK4 that the
+    Python-float RK4 replaced, the sim digests from the log-time RK4 that
+    replaced linear time for non-stiff systems.  A change to the oracle's
+    arithmetic must edit these digests."""
 
     def test_no_jump_system(self, sim_params):
         sol = oracle.integrate_riccati(sim_params, sim_params.horizon, 10_000)
-        assert not sol.transformed
-        assert _sha256(sol.coeffs) == ("f0e38f9a18a34880728bb63e83f717bf"
-                                       "b799076829bf7e394dc52dfe7f6288ef")
-        assert _sha256(sol.tau) == self.TAU
+        assert _sha256(sol.coeffs) == ("cb9b02a260eda3c13ad88c5b5fa2c56b"
+                                       "54798d97ac7463e734d0b11a35fdc0a7")
+        assert _sha256(sol.tau) == ("27beecf1ad781655538494ae11d038b8"
+                                    "83ea98f668fd16bb625a493c690af48d")
 
     def test_jump_system(self, sim_params_eta200, jumps_negative):
         sol = oracle.integrate_jump_riccati(sim_params_eta200, jumps_negative,
                                             sim_params_eta200.horizon, 10_000)
-        assert _sha256(sol.coeffs) == ("5e121e48bd1d1caeeffe50686397e780"
-                                       "37a7cc887ee1524c8f0ae4ac162cc4ef")
-        assert _sha256(sol.tau) == self.TAU
+        assert _sha256(sol.coeffs) == ("93087bf6cf8f9526cac4ad236ed79b88"
+                                       "7422193e7abcb598d7764dfee5cb50b9")
+        assert _sha256(sol.tau) == ("70eb001e80f1ac820f6c566fee903631"
+                                    "e8696514ce67063e571990c013684376")
 
     def test_log_transformed_system(self, table_params):
         sol = oracle.integrate_riccati(table_params, table_params.horizon,
                                        10_000)
-        assert sol.transformed
         assert _sha256(sol.coeffs) == ("8608a894ff543695c90498f38a9208a3"
                                        "a979174887516eed6b96f006f27e4cc1")
         assert _sha256(sol.tau) == ("65d00426fd6c0a7d604d6e632f887df4"
@@ -169,8 +194,7 @@ class TestOptimalityProbe:
 class TestVerificationReport:
     def test_full_report_passes(self, sim_params):
         report = oracle.verification_report(sim_params, None, seed=0,
-                                            n_paths=500, dt=60.0,
-                                            n_steps=4000, fuzz_points=100)
+                                            n_paths=500, dt=60.0)
         assert report["passed"], report
         expected_checks = {"riccati_ode", "jump_riccati_ode",
                            "variance_quadrature", "forecast_equilibrium",
@@ -215,8 +239,7 @@ class TestVerificationReport:
         pure = ModelParams(sigma0=1 / 60, sigma_d=1000 / 60, beta=None,
                            eta=100.0, mu=0.0, nu=4e-5, gamma=2.22, rho=0.8,
                            horizon=24 * HOUR)
-        report = oracle.verification_report(pure, dt=float("nan"),
-                                            n_paths=0, n_steps=2000)
+        report = oracle.verification_report(pure, dt=float("nan"), n_paths=0)
         assert set(report["checks"]) == {"riccati_ode", "jump_riccati_ode",
                                          "variance_quadrature"}
 
@@ -224,7 +247,7 @@ class TestVerificationReport:
         """The variance integrand's boundary layer at tau = 0 is resolved
         for the pure trader too."""
         report = oracle.verification_report(
-            dataclasses.replace(sim_params, beta=None), n_steps=2000)
+            dataclasses.replace(sim_params, beta=None))
         assert report["passed"], report
 
     @pytest.mark.parametrize("lam, integrations", [(None, 1), (0.0, 1),
@@ -244,7 +267,7 @@ class TestVerificationReport:
             lam=lam, p_plus=0.3, delta_plus=1500.0, delta_minus=-1500.0,
             pi_plus=10.0, pi_minus=-10.0)
         report = oracle.verification_report(
-            dataclasses.replace(sim_params, beta=None), jumps, n_steps=500)
+            dataclasses.replace(sim_params, beta=None), jumps)
         assert len(calls) == integrations
         checks = report["checks"]
         assert list(checks["riccati_ode"]) == list(checks["jump_riccati_ode"])

@@ -387,3 +387,16 @@ class TestCsvExport:
         paths = simulate.sample_paths(sim_params, None, policy, 1, 3600.0, 0)
         with pytest.raises(OSError):
             simulate.export_csv(paths, tmp_path / "missing" / "paths.csv")
+
+    def test_unrecorded_decision_node_is_rejected(self, tmp_path):
+        """A thinned record that skips the delay rule's decision node would
+        write xi_at_decision = 0 on every row; no file is written."""
+        params, _, h = load_param_file(
+            cli.resolve_config("sim-delay", "sim-delay"))
+        policy = delay.composite_delay_policy(params, h)
+        paths = simulate.sample_paths(params, None, policy, 2, 60.0, 3,
+                                      d0=5e4, y0=50.0, record_every=7)
+        assert paths.production_index % 7 != 0 and paths.xi.all()
+        with pytest.raises(ValueError, match="decision node is not recorded"):
+            simulate.export_csv(paths, tmp_path / "paths.csv")
+        assert not any(tmp_path.iterdir())
