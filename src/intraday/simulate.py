@@ -17,12 +17,14 @@ Randomness comes from a counter-based generator (Philox) keyed by
 times and jump signs, so results are bit-identical for a fixed seed,
 independent of batch size: a path's trajectory depends only on its id.
 
-Paths are simulated in chunks of at most ``_CHUNK``.  Inside a chunk the
-noise increments and the jump arrays are stored time-major, shape
-(n_steps[+1], n): row k holds step k of every path, so each Euler step
-reads contiguous rows.  Each path's normals are drawn into a small
-path-major block and transposed into place.  The recorded ``PathSet``
-arrays stay path-major, shape (n_paths, n_recorded).
+Paths are simulated in chunks of at most ``_CHUNK``.  A chunk holds its
+noise and jump events.  The noise increments are stored time-major, shape
+(n_steps, n): row k holds step k of every path, so each Euler step reads
+contiguous rows.  Each path's normals are drawn into a small path-major
+block and transposed into place.  The jump events are flat arrays sorted
+by grid node, one event per (node, path) with jumps, so a step touches
+only the paths that jump at its node.  The recorded ``PathSet`` arrays
+stay path-major, shape (n_paths, n_recorded).
 """
 
 from __future__ import annotations
@@ -212,6 +214,55 @@ def _draw_jumps(seed: int, path_id: int, jumps: JumpParams,
     return np.array(times), np.where(uniforms < jumps.p_plus, 1, -1)
 
 
+def _jump_events(paths: PathSet, rows: slice, recorded: list[int],
+                 jumps: JumpParams | None, horizon: float
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The chunk's jumps as events sorted by grid node.
+
+    Returns ``(key, jump_d, jump_y)`` with ``key = node * n + column``: one
+    event per (node, path) that has jumps, its demand and price jumps
+    summed in draw order.  The signed jump counts at recorded nodes go
+    straight into ``paths.jump_flag``.
+    """
+    if jumps is None or jumps.lam == 0.0:
+        return np.empty(0, np.int64), np.empty(0), np.empty(0)
+    n, n_steps = rows.stop - rows.start, recorded[-1]
+    keys, d_parts, y_parts = [], [], []
+    record_pos = np.full(n_steps + 1, -1)
+    record_pos[recorded] = np.arange(len(recorded))
+    for i, pid in enumerate(range(rows.start, rows.stop)):
+        times, signs = _draw_jumps(paths.seed, pid, jumps, horizon)
+        # first grid node at or after the exact jump time
+        nodes = np.minimum(np.ceil(times / paths.dt - 1e-12).astype(np.int64),
+                           n_steps)
+        pos = record_pos[nodes]
+        hit = pos >= 0
+        np.add.at(paths.jump_flag[pid], pos[hit], signs[hit])
+        # merged per path, so a chunk holds at most one event per node and
+        # path; add.at keeps the draw order of the sums (a pairwise sum
+        # would change their bits)
+        at = np.unique(nodes)
+        slot = at.searchsorted(nodes)
+        jump_d, jump_y = np.zeros(at.size), np.zeros(at.size)
+        np.add.at(jump_d, slot,
+                  np.where(signs > 0, jumps.delta_plus, jumps.delta_minus))
+        np.add.at(jump_y, slot,
+                  np.where(signs > 0, jumps.pi_plus, jumps.pi_minus))
+        keys.append(at * n + i)
+        d_parts.append(jump_d)
+        y_parts.append(jump_y)
+
+    order = np.argsort(np.concatenate(keys))
+
+    def node_major(parts):
+        # each path's parts are freed before the sorted copy is made
+        merged = np.concatenate(parts)
+        parts.clear()
+        return merged[order]
+
+    return node_major(keys), node_major(d_parts), node_major(y_parts)
+
+
 def _simulate_chunk(paths: PathSet, rows: slice, recorded: list[int],
                     params: ModelParams, jumps: JumpParams | None,
                     policy: Policy, start: MarketState) -> None:
@@ -219,8 +270,14 @@ def _simulate_chunk(paths: PathSet, rows: slice, recorded: list[int],
     n = rows.stop - rows.start
     dt, seed, n_steps = paths.dt, paths.seed, recorded[-1]
 
-    # time-major: row k of dw/db is step k of every path; db first holds
-    # dW_perp and is turned into B's increments in place
+    # the events first: they peak while being sorted, before the noise exists
+    key, jump_d, jump_y = _jump_events(paths, rows, recorded, jumps,
+                                       params.horizon)
+    # events of node k are key[bounds[k]:bounds[k + 1]]
+    bounds = np.searchsorted(key, np.arange(n_steps + 2) * n).tolist()
+
+    # time-major: row k of dw/db is step k of every path; db holds
+    # sqrt(1 - rho^2) dW_perp, and the step adds rho dW to make dB
     dw, db = noise = np.empty((2, n_steps, n))
     block = np.empty((2, min(_BLOCK, n), n_steps))
     for first in range(0, n, _BLOCK):
@@ -232,31 +289,22 @@ def _simulate_chunk(paths: PathSet, rows: slice, recorded: list[int],
         noise[:, :, first:first + width] = block[:, :width].transpose(0, 2, 1)
     noise *= math.sqrt(dt)
     db *= math.sqrt(1.0 - params.rho**2)
-    db += params.rho * dw
-
-    jump_d = np.zeros((n_steps + 1, n))
-    jump_y = np.zeros((n_steps + 1, n))
-    flags = np.zeros((n_steps + 1, n), dtype=np.int64)
-    for i, pid in enumerate(range(rows.start, rows.stop)):
-        if jumps is None or jumps.lam == 0.0:
-            break
-        times, signs = _draw_jumps(seed, pid, jumps, params.horizon)
-        # first grid node at or after the exact jump time
-        nodes = np.minimum(np.ceil(times / dt - 1e-12).astype(np.int64), n_steps)
-        np.add.at(jump_d[:, i], nodes,
-                  np.where(signs > 0, jumps.delta_plus, jumps.delta_minus))
-        np.add.at(jump_y[:, i], nodes,
-                  np.where(signs > 0, jumps.pi_plus, jumps.pi_minus))
-        np.add.at(flags[:, i], nodes, signs)
 
     x = np.full(n, start.x)
-    y = start.y + jump_y[0]
-    d = start.d + jump_d[0]
+    # + 0.0 turns a -0.0 start into +0.0; later nodes cannot be -0.0
+    y = np.full(n, start.y + 0.0)
+    d = np.full(n, start.d + 0.0)
     p_hat = y.copy()
     xi = 0.0  # production quantity, fixed at the production node
     running_cost = np.zeros(n)
     pos = 0  # next position in ``recorded``
     for k in range(n_steps + 1):
+        lo, hi = bounds[k], bounds[k + 1]
+        if lo < hi:  # the jumps that land on node k
+            cols = key[lo:hi] - k * n
+            d[cols] += jump_d[lo:hi]
+            y[cols] += jump_y[lo:hi]
+            p_hat[cols] += jump_y[lo:hi]
         if k == paths.production_index:
             xi = policy.production_rule(d - x, y)
         q = policy.rate_rule(k * dt, x + xi, y, d)
@@ -266,16 +314,15 @@ def _simulate_chunk(paths: PathSet, rows: slice, recorded: list[int],
             paths.d[rows, pos] = d
             paths.p_hat[rows, pos] = p_hat
             paths.q[rows, pos] = q
-            paths.jump_flag[rows, pos] = flags[k]
             pos += 1
         if k == n_steps:
             break
         running_cost += q * (y + params.gamma * q) * dt
         price_noise = params.sigma0 * dw[k]
         x = x + q * dt
-        y = y + params.nu * q * dt + price_noise + jump_y[k + 1]
-        d = d + params.mu * dt + params.sigma_d * db[k] + jump_d[k + 1]
-        p_hat = p_hat + price_noise + jump_y[k + 1]
+        y = y + params.nu * q * dt + price_noise
+        d = d + params.mu * dt + params.sigma_d * (db[k] + params.rho * dw[k])
+        p_hat = p_hat + price_noise
 
     paths.xi[rows] = xi
     paths.running_cost[rows] = running_cost
@@ -287,8 +334,8 @@ def check_grid(params: ModelParams, jumps: JumpParams | None, n_paths: int,
 
     Rejects a non-positive path count, a ``dt`` that is not finite or does
     not divide the horizon, a ``dt`` too coarse for the jumps, a bad
-    ``record_every``, and a run whose arrays or one path's jump draws
-    exceed physical memory.
+    ``record_every``, and a run whose recorded arrays plus one chunk's
+    noise and jump events, or one path's jump draws, exceed physical memory.
     Returns the number of Euler steps.
     """
     if n_paths < 1:
@@ -306,17 +353,19 @@ def check_grid(params: ModelParams, jumps: JumpParams | None, n_paths: int,
     if record_every is not None and record_every < 1:
         raise ValueError("record_every must be positive or None")
     n_recorded = 1 if record_every is None else -(-n_steps // record_every) + 1
+    draws = 0.0 if jumps is None else jumps.lam * params.horizon
     # recorded arrays (x, y, d, p_hat, q, jump_flag) plus one chunk's noise
-    # and jump arrays (dw, db, jump_d, jump_y, flags), all 8-byte items
+    # (dw, db) and its jump events, at most one per node and path, which
+    # peak at 5 items each while being sorted: 8-byte items throughout
+    # (tracemalloc: 2.15 noise units at 1.5 jumps a day, 5.14 at 1e4)
+    events = math.ceil(min(draws, n_steps + 1))
     needed = (n_paths * n_recorded * 6
-              + min(n_paths, _CHUNK) * (n_steps + 1) * 5) * 8
+              + min(n_paths, _CHUNK) * (2 * n_steps + 5 * events)) * 8
     model.check_memory(needed, f"{n_paths} paths at dt = {dt:g} s")
-    if jumps is not None:
-        # one path's jump draws peak at about 57 B each (tracemalloc): the
-        # float list and arrays of _draw_jumps, then the scatter temporaries
-        draws = jumps.lam * params.horizon
-        model.check_memory(64 * draws, f"{draws:.3g} expected jump draws "
-                           "per path")
+    # one path's jump draws peak at 58 B each (tracemalloc, 1e5 and 1e6
+    # draws): the float list and arrays of _draw_jumps, then the node and
+    # merge temporaries
+    model.check_memory(64 * draws, f"{draws:.3g} expected jump draws per path")
     return n_steps
 
 

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -257,27 +258,98 @@ class TestStreamContract:
             "c6e7d07e3e06d06f4fce55b66713c9a3ef9d48710f8e5a3e02f193e3c1cb7619")
 
 
+class TestGoldenPaths:
+    """sha256 of all nine ``PathSet`` arrays for runs that stress how jumps
+    are applied: several jumps at one node, jumps between recorded nodes,
+    and no jumps at all (from a -0.0 start, which node 0 turns into +0.0)."""
+
+    NAMES = ("times", "x", "y", "d", "p_hat", "q", "jump_flag", "xi",
+             "running_cost")
+
+    @staticmethod
+    def _run(jumps, n_paths, record_every, d0=cli.DEFAULT_D0,
+             y0=cli.DEFAULT_Y0):
+        params, _, _ = load_param_file(
+            cli.resolve_config("sim-jump-neg", "sim-jump-neg"))
+        policy = simulate.optimal_policy(params, jumps)
+        return simulate.sample_paths(params, jumps, policy, n_paths, 60.0,
+                                     cli.DEFAULT_SEED, d0=d0, y0=y0,
+                                     record_every=record_every)
+
+    def _digest(self, paths):
+        digest = hashlib.sha256()
+        for name in self.NAMES:
+            digest.update(getattr(paths, name).tobytes())
+        return digest.hexdigest()
+
+    def test_many_jumps_per_node(self, jumps_negative):
+        """1e4 jumps a day at dt = 60 s: about 7 per node, summed in draw
+        order."""
+        paths = self._run(replace(jumps_negative, lam=1e4 / DAY), 3, 1)
+        assert np.abs(paths.jump_flag).max() > 1
+        assert self._digest(paths) == (
+            "4f22daa53a439279f7d280dc8427b23bf6c7c9c1a914ef49ce74962402f309f0")
+
+    def test_jumps_between_recorded_nodes(self, jumps_negative):
+        jumps = replace(jumps_negative, lam=20.0 / DAY)
+        paths = self._run(jumps, 4, 7)
+        nodes = np.concatenate([
+            np.ceil(simulate._draw_jumps(cli.DEFAULT_SEED, pid, jumps,
+                                         DAY)[0] / 60.0 - 1e-12)
+            for pid in range(4)])
+        assert np.any(nodes % 7 != 0) and np.any(nodes % 7 == 0)
+        assert 0 < np.abs(paths.jump_flag).sum() < nodes.size
+        assert self._digest(paths) == (
+            "9c8fdf40ce3d0ab35e660e18028185b6d0e77e99d6353938b3b9127ef1968496")
+
+    @pytest.mark.parametrize("lam", [0.0, None])
+    def test_no_jumps(self, jumps_negative, lam):
+        jumps = None if lam is None else replace(jumps_negative, lam=lam)
+        paths = self._run(jumps, 3, 7, d0=-0.0, y0=-0.0)
+        assert not np.signbit(paths.y[:, 0]).any()
+        assert self._digest(paths) == (
+            "b75ba431c2539190c74561b46dc66ea0d5656e6b37954ce32b0efa0f4940dc65")
+
+
 class TestMemory:
-    def test_chunk_working_set(self, sim_params, jumps_negative):
-        """One 1024-path jump chunk holds its time-major dW and dB and the
-        three jump arrays, each n x n_steps, plus small per-step arrays:
-        a traced peak of at most 5.25 such units (numpy reports its
-        buffers to tracemalloc)."""
-        policy = simulate.optimal_policy(sim_params, jumps_negative,
-                                         constrained=False)
-        n, dt = 1024, 60.0
-        unit = n * round(sim_params.horizon / dt) * 8
-        simulate.sample_paths(sim_params, jumps_negative, policy, 2, dt, 1,
+    @staticmethod
+    def _chunk_peak(params, jumps, n):
+        """Traced peak of one n-path chunk at dt = 60 s, in units of
+        n x n_steps 8-byte items (numpy reports its buffers to
+        tracemalloc)."""
+        policy = simulate.optimal_policy(params, jumps, constrained=False)
+        dt = 60.0
+        unit = n * round(params.horizon / dt) * 8
+        simulate.sample_paths(params, jumps, policy, 2, dt, 1,
                               d0=5e4, y0=50.0, record_every=None)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            simulate.sample_paths(sim_params, jumps_negative, policy, n, dt,
-                                  1, d0=5e4, y0=50.0, record_every=None)
+            simulate.sample_paths(params, jumps, policy, n, dt, 1,
+                                  d0=5e4, y0=50.0, record_every=None)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak <= 5.25 * unit
+        return peak / unit
+
+    @pytest.mark.parametrize("with_jumps", [True, False],
+                             ids=["jumps", "no-jumps"])
+    def test_chunk_working_set(self, sim_params, jumps_negative, with_jumps):
+        """One 1024-path chunk holds its time-major dW and dB, the drawing
+        block and small per-step arrays; 1.5 jumps a day add about 1500
+        events.  Measured 2.14 units without jumps, 2.15 with them."""
+        jumps = jumps_negative if with_jumps else None
+        assert self._chunk_peak(sim_params, jumps, 1024) <= 2.25
+
+    def test_saturated_jump_events(self, sim_params, jumps_negative):
+        """1e4 jumps a day, about 7 per node: merged per path, there is an
+        event at almost every (node, path), and sorting them peaks at 5
+        units before dW and dB exist.  Measured 5.54, of which the drawing
+        block is 0.25 on this 2-hour horizon.  Keeping every raw draw
+        would take tens of units."""
+        params = replace(sim_params, horizon=2 * HOUR)
+        jumps = replace(jumps_negative, lam=1e4 / DAY)
+        assert self._chunk_peak(params, jumps, 512) <= 6.0
 
 
 class TestRecording:
