@@ -451,25 +451,27 @@ def export_csv(paths: PathSet, destination) -> Path:
     Columns: time_s, path_id, X, Y, D, P_hat, q, jump_flag,
     xi_at_decision (the production quantity on its decision row, else 0).
     Floats are written with ``repr`` so parsing the file reproduces the
-    arrays bit-identically.  The decision node must be recorded.
+    arrays bit-identically.  The decision node must be recorded.  Columns
+    are converted one path at a time (``tolist`` of its rows, never of the
+    whole arrays), and each path is one ``write``.
     """
     destination = Path(destination)
-    record_pos = {float(t): pos for pos, t in enumerate(paths.times)}
-    decision_pos = record_pos.get(paths.production_index * paths.dt)
-    if decision_pos is None:
+    times, decision = paths.times.tolist(), paths.production_index * paths.dt
+    if decision not in times:
         raise ValueError("the production decision node is not recorded; "
                          "the CSV would lose xi")
+    decision_pos, time_cells = times.index(decision), list(map(repr, times))
     try:
         with destination.open("w", newline="") as handle:
             handle.write("time_s,path_id,X,Y,D,P_hat,q,jump_flag,xi_at_decision\n")
             for path_id in range(paths.n_paths):
-                for pos, t in enumerate(paths.times):
-                    xi = paths.xi[path_id] if pos == decision_pos else 0.0
-                    handle.write(
-                        f"{float(t)!r},{path_id},{float(paths.x[path_id, pos])!r},"
-                        f"{float(paths.y[path_id, pos])!r},{float(paths.d[path_id, pos])!r},"
-                        f"{float(paths.p_hat[path_id, pos])!r},{float(paths.q[path_id, pos])!r},"
-                        f"{int(paths.jump_flag[path_id, pos])},{float(xi)!r}\n")
+                xi_cells = ["0.0"] * len(times)
+                xi_cells[decision_pos] = repr(float(paths.xi[path_id]))
+                columns = [time_cells, [str(path_id)] * len(times)]
+                columns += [map(repr, rows[path_id].tolist()) for rows in
+                            (paths.x, paths.y, paths.d, paths.p_hat, paths.q)]
+                columns += [map(str, paths.jump_flag[path_id].tolist()), xi_cells]
+                handle.write("\n".join(map(",".join, zip(*columns))) + "\n")
     except OSError as exc:
         raise OSError(f"failed to write path CSV to {destination}: {exc}") from exc
     return destination

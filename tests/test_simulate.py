@@ -423,22 +423,96 @@ class TestEstimates:
 
 
 class TestCsvExport:
-    def test_round_trip_bit_identical(self, sim_params, tmp_path):
-        policy = simulate.optimal_policy(sim_params, None, constrained=False)
-        paths = simulate.sample_paths(sim_params, None, policy, 3, 3600.0, 10,
-                                      d0=5e4, y0=50.0)
+    @staticmethod
+    def _digest(paths, tmp_path):
+        destination = simulate.export_csv(paths, tmp_path / "paths.csv")
+        return hashlib.sha256(destination.read_bytes()).hexdigest()
+
+    def test_round_trip_bit_identical(self, jumps_negative, tmp_path):
+        """Every column of a thinned jump run parses back to the bytes of
+        the ``PathSet``, as ``bench/workloads.py::csv_matches`` checks."""
+        paths = TestGoldenPaths._run(replace(jumps_negative, lam=20.0 / DAY),
+                                     4, 7)
+        assert np.abs(paths.jump_flag).sum() > 0
         destination = simulate.export_csv(paths, tmp_path / "paths.csv")
         with destination.open() as handle:
             rows = list(csv.DictReader(handle))
-        assert len(rows) == 3 * paths.times.size
-        by_path = {}
-        for row in rows:
-            by_path.setdefault(int(row["path_id"]), []).append(row)
-        for path_id, entries in by_path.items():
-            x = np.array([float(r["X"]) for r in entries])
-            q = np.array([float(r["q"]) for r in entries])
-            assert np.array_equal(x, paths.x[path_id])
-            assert np.array_equal(q, paths.q[path_id])
+        n_rec = paths.times.size
+        assert len(rows) == paths.n_paths * n_rec
+        decision = paths.times == paths.production_index * paths.dt
+        assert decision.sum() == 1
+        for path_id in range(paths.n_paths):
+            block = rows[path_id * n_rec:(path_id + 1) * n_rec]
+
+            def column(name, parse=float, dtype=np.float64):
+                return np.array([parse(row[name]) for row in block], dtype)
+
+            assert column("time_s").tobytes() == paths.times.tobytes()
+            assert (column("path_id", int, np.int64) == path_id).all()
+            for name, attr in (("X", "x"), ("Y", "y"), ("D", "d"),
+                               ("P_hat", "p_hat"), ("q", "q")):
+                assert (column(name).tobytes()
+                        == getattr(paths, attr)[path_id].tobytes())
+            assert (column("jump_flag", int, paths.jump_flag.dtype).tobytes()
+                    == paths.jump_flag[path_id].tobytes())
+            assert (column("xi_at_decision").tobytes()
+                    == np.where(decision, paths.xi[path_id], 0.0).tobytes())
+
+    def test_golden_thinned_jump_run(self, jumps_negative, tmp_path):
+        """record_every=7 does not divide the 1440 steps: the decision node
+        at T is recorded only as the final node."""
+        paths = TestGoldenPaths._run(replace(jumps_negative, lam=20.0 / DAY),
+                                     4, 7)
+        assert paths.production_index % 7 != 0
+        assert paths.times[-1] == paths.production_index * paths.dt
+        assert self._digest(paths, tmp_path) == (
+            "923a564db6f65a2046ec6ba42c7fb323f92105d20f59298e9e0a9bddf3b4d72a")
+
+    def test_golden_many_jumps_per_node(self, jumps_negative, tmp_path):
+        """The 1e4-jumps-a-day run of ``TestGoldenPaths``: signed jump
+        counts of two digits."""
+        paths = TestGoldenPaths._run(replace(jumps_negative, lam=1e4 / DAY),
+                                     3, 1)
+        assert np.abs(paths.jump_flag).max() >= 10
+        assert self._digest(paths, tmp_path) == (
+            "8ed1a68f2d1875cc0167d7669842c67c2c9621a7b3fc00ffb9cac8f51b501bc1")
+
+    def test_golden_signed_zeros(self, jumps_negative, tmp_path):
+        """``zero_policy`` from an all -0.0 start: node 0 writes X as -0.0,
+        every later node as 0.0."""
+        params, _, _ = load_param_file(
+            cli.resolve_config("sim-jump-neg", "sim-jump-neg"))
+        paths = simulate.sample_paths(params, jumps_negative,
+                                      simulate.zero_policy(params), 3, 60.0,
+                                      cli.DEFAULT_SEED, d0=-0.0, y0=-0.0,
+                                      x0=-0.0, record_every=7)
+        assert np.signbit(paths.x[:, 0]).all()
+        assert not np.signbit(paths.x[:, 1:]).any()
+        assert self._digest(paths, tmp_path) == (
+            "b89c9899de5029ccf07d64974ae9b733def3f07f6e6a8ce61c585b96fcc29944")
+
+    @staticmethod
+    def _export_peak(paths, tmp_path):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            simulate.export_csv(paths, tmp_path / "paths.csv")
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    def test_export_memory_independent_of_path_count(self, jumps_negative,
+                                                     tmp_path):
+        """The export converts one path's rows at a time, so its traced peak
+        does not grow with the path count: measured 0.81 MB at both 10 and
+        100 paths of 1441 nodes.  A variant that took ``tolist`` of the whole
+        arrays peaked at 2.9 MB and 23.7 MB."""
+        small, large = (
+            self._export_peak(TestGoldenPaths._run(jumps_negative, n, 1),
+                              tmp_path)
+            for n in (10, 100))
+        assert large <= 1.25 * small
 
     def test_production_only_on_decision_row(self, sim_params, tmp_path):
         policy = simulate.optimal_policy(sim_params, None, constrained=False)
