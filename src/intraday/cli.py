@@ -36,6 +36,8 @@ from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
+
 from . import closed_form, delay as delay_mod, error_bounds, oracle, simulate
 from .model import HOUR, MarketState, check_seed, load_param_file
 
@@ -129,13 +131,16 @@ def cmd_simulate(args) -> int:
         policy = delay_mod.composite_delay_policy(params, delay_seconds)
     else:
         policy = simulate.optimal_policy(params, jumps)
-    paths = simulate.sample_paths(
-        params, jumps, policy, args.paths, args.dt, args.seed,
-        d0=args.d0, y0=args.y0, x0=args.x0)
+    # paths that overflow float64 are refused by estimate_cost, before any
+    # file is written, in place of numpy's warnings along the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        paths = simulate.sample_paths(
+            params, jumps, policy, args.paths, args.dt, args.seed,
+            d0=args.d0, y0=args.y0, x0=args.x0)
+        cost = simulate.estimate_cost(paths, params)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     destination = simulate.export_csv(paths, out / "paths.csv")
-    cost = simulate.estimate_cost(paths, params)
     print(f"wrote {destination}")
     print(f"mean realized cost: {cost.mean:.6g} EUR"
           + (f" (stderr {cost.stderr:.3g})" if paths.n_paths > 1 else ""))

@@ -208,6 +208,14 @@ class ProbeResult:
     stderr: float
 
 
+def _check_mc_paths(n_paths: int) -> None:
+    """A Monte Carlo check compares against its standard error, which
+    needs at least 2 paths."""
+    if n_paths < 2:
+        raise ValueError("n_paths must be at least 2 for a Monte Carlo "
+                         "standard error")
+
+
 def optimality_probe(params: ModelParams, jumps: JumpParams | None,
                      base_policy: simulate.Policy, perturbation_scale: float,
                      n_paths: int, seed: int, *, dt: float = 60.0,
@@ -222,6 +230,7 @@ def optimality_probe(params: ModelParams, jumps: JumpParams | None,
     """
     if perturbation_scale <= 0:
         raise ValueError("perturbation_scale must be positive")
+    _check_mc_paths(n_paths)
 
     def realized_cost(policy):
         paths = simulate.sample_paths(params, jumps, policy, n_paths, dt, seed,
@@ -262,6 +271,7 @@ def verification_report(params: ModelParams, jumps: JumpParams | None = None,
     state0 = MarketState(t=0.0, x=0.0, y=y0, d=d0)
     if not params.pure_trader:  # reject a bad grid before the oracle runs
         simulate.check_grid(params, jumps, n_paths, dt, _RECORD_EVERY)
+        _check_mc_paths(n_paths)
     checks = {}
 
     sol = integrate_riccati(params, params.horizon)

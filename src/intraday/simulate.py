@@ -21,10 +21,12 @@ Paths are simulated in chunks of at most ``_CHUNK``.  A chunk holds its
 noise and jump events.  The noise increments are stored time-major, shape
 (n_steps, n): row k holds step k of every path, so each Euler step reads
 contiguous rows.  Each path's normals are drawn into a small path-major
-block and transposed into place.  The jump events are flat arrays sorted
-by grid node, one event per (node, path) with jumps, so a step touches
-only the paths that jump at its node.  The recorded ``PathSet`` arrays
-stay path-major, shape (n_paths, n_recorded).
+block, scaled there to the price and demand increments ``sigma0 dW`` and
+``sigma_d dB``, and transposed into place.  The jump events are flat
+arrays sorted by grid node, one event per (node, path) with jumps, so a
+step touches only the paths that jump at its node; the jump draws of a
+batch of paths are merged into events at once.  The recorded ``PathSet``
+arrays stay path-major, shape (n_paths, n_recorded).
 """
 
 from __future__ import annotations
@@ -214,6 +216,38 @@ def _draw_jumps(seed: int, path_id: int, jumps: JumpParams,
     return np.array(times), np.where(uniforms < jumps.p_plus, 1, -1)
 
 
+def _merge_batch(flags: np.ndarray, record_pos: np.ndarray, dt: float,
+                 jumps: JumpParams, first: int, times: list, signs: list
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Merge the jump draws of a batch of paths into events.
+
+    ``times`` and ``signs`` hold the draws of the paths in columns
+    ``first, first + 1, ...`` of the chunk, and are emptied.  Adds the
+    signed counts at recorded nodes to ``flags``, the chunk's rows of
+    ``jump_flag``, and returns ``(key, jump_d, jump_y)`` sorted by key.
+    """
+    n, n_steps = flags.shape[0], record_pos.size - 1
+    column = np.repeat(np.arange(first, first + len(times)),
+                       [path_times.size for path_times in times])
+    sign = np.concatenate(signs)
+    # first grid node at or after the exact jump time
+    nodes = np.minimum(
+        np.ceil(np.concatenate(times) / dt - 1e-12).astype(np.int64), n_steps)
+    times.clear()  # the per-path arrays go before the merge peaks
+    signs.clear()
+    pos = record_pos[nodes]
+    hit = pos >= 0
+    np.add.at(flags, (column[hit], pos[hit]), sign[hit])
+    # add.at sums each (node, path) from 0.0 in draw order; a pairwise sum
+    # would change the bits
+    key, slot = np.unique(nodes * n + column, return_inverse=True)
+    up = sign > 0
+    jump_d, jump_y = np.zeros(key.size), np.zeros(key.size)
+    np.add.at(jump_d, slot, np.where(up, jumps.delta_plus, jumps.delta_minus))
+    np.add.at(jump_y, slot, np.where(up, jumps.pi_plus, jumps.pi_minus))
+    return key, jump_d, jump_y
+
+
 def _jump_events(paths: PathSet, rows: slice, recorded: list[int],
                  jumps: JumpParams | None, horizon: float
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -222,40 +256,37 @@ def _jump_events(paths: PathSet, rows: slice, recorded: list[int],
     Returns ``(key, jump_d, jump_y)`` with ``key = node * n + column``: one
     event per (node, path) that has jumps, its demand and price jumps
     summed in draw order.  The signed jump counts at recorded nodes go
-    straight into ``paths.jump_flag``.
+    straight into ``paths.jump_flag``.  Each path draws from its own
+    streams, in path order, and the draws are merged per batch of paths:
+    a batch is merged once it holds more than ``n_steps`` draws, the most
+    events one path can have.
     """
     if jumps is None or jumps.lam == 0.0:
         return np.empty(0, np.int64), np.empty(0), np.empty(0)
     n, n_steps = rows.stop - rows.start, recorded[-1]
-    keys, d_parts, y_parts = [], [], []
     record_pos = np.full(n_steps + 1, -1)
     record_pos[recorded] = np.arange(len(recorded))
+    keys, d_parts, y_parts = [], [], []
+    times, signs = [], []  # the batch, one array per path
+    first, held = 0, 0  # the batch's first column and its draw count
     for i, pid in enumerate(range(rows.start, rows.stop)):
-        times, signs = _draw_jumps(paths.seed, pid, jumps, horizon)
-        # first grid node at or after the exact jump time
-        nodes = np.minimum(np.ceil(times / paths.dt - 1e-12).astype(np.int64),
-                           n_steps)
-        pos = record_pos[nodes]
-        hit = pos >= 0
-        np.add.at(paths.jump_flag[pid], pos[hit], signs[hit])
-        # merged per path, so a chunk holds at most one event per node and
-        # path; add.at keeps the draw order of the sums (a pairwise sum
-        # would change their bits)
-        at = np.unique(nodes)
-        slot = at.searchsorted(nodes)
-        jump_d, jump_y = np.zeros(at.size), np.zeros(at.size)
-        np.add.at(jump_d, slot,
-                  np.where(signs > 0, jumps.delta_plus, jumps.delta_minus))
-        np.add.at(jump_y, slot,
-                  np.where(signs > 0, jumps.pi_plus, jumps.pi_minus))
-        keys.append(at * n + i)
-        d_parts.append(jump_d)
-        y_parts.append(jump_y)
+        path_times, path_signs = _draw_jumps(paths.seed, pid, jumps, horizon)
+        times.append(path_times)
+        signs.append(path_signs)
+        held += path_times.size
+        if held > n_steps or i == n - 1:
+            key, jump_d, jump_y = _merge_batch(
+                paths.jump_flag[rows], record_pos, paths.dt, jumps, first,
+                times, signs)
+            keys.append(key)
+            d_parts.append(jump_d)
+            y_parts.append(jump_y)
+            first, held = i + 1, 0
 
     order = np.argsort(np.concatenate(keys))
 
     def node_major(parts):
-        # each path's parts are freed before the sorted copy is made
+        # each batch's parts are freed before the sorted copy is made
         merged = np.concatenate(parts)
         parts.clear()
         return merged[order]
@@ -276,19 +307,25 @@ def _simulate_chunk(paths: PathSet, rows: slice, recorded: list[int],
     # events of node k are key[bounds[k]:bounds[k + 1]]
     bounds = np.searchsorted(key, np.arange(n_steps + 2) * n).tolist()
 
-    # time-major: row k of dw/db is step k of every path; db holds
-    # sqrt(1 - rho^2) dW_perp, and the step adds rho dW to make dB
+    # time-major: row k of dw/db is step k of every path, stored as the
+    # price and demand increments sigma0 dW and sigma_d dB, with
+    # dB = sqrt(1 - rho^2) dW_perp + rho dW
     dw, db = noise = np.empty((2, n_steps, n))
     block = np.empty((2, min(_BLOCK, n), n_steps))
     for first in range(0, n, _BLOCK):
         width = min(_BLOCK, n - first)
+        b0, b1 = block[:, :width]
         for i in range(width):
             pid = rows.start + first + i
-            _stream(seed, pid, _STREAM_W).standard_normal(out=block[0, i])
-            _stream(seed, pid, _STREAM_W_PERP).standard_normal(out=block[1, i])
+            _stream(seed, pid, _STREAM_W).standard_normal(out=b0[i])
+            _stream(seed, pid, _STREAM_W_PERP).standard_normal(out=b1[i])
+        b0 *= math.sqrt(dt)
+        b1 *= math.sqrt(dt)
+        b1 *= math.sqrt(1.0 - params.rho**2)
+        b1 += params.rho * b0
+        b1 *= params.sigma_d
+        b0 *= params.sigma0
         noise[:, :, first:first + width] = block[:, :width].transpose(0, 2, 1)
-    noise *= math.sqrt(dt)
-    db *= math.sqrt(1.0 - params.rho**2)
 
     x = np.full(n, start.x)
     # + 0.0 turns a -0.0 start into +0.0; later nodes cannot be -0.0
@@ -318,11 +355,10 @@ def _simulate_chunk(paths: PathSet, rows: slice, recorded: list[int],
         if k == n_steps:
             break
         running_cost += q * (y + params.gamma * q) * dt
-        price_noise = params.sigma0 * dw[k]
         x = x + q * dt
-        y = y + params.nu * q * dt + price_noise
-        d = d + params.mu * dt + params.sigma_d * (db[k] + params.rho * dw[k])
-        p_hat = p_hat + price_noise
+        y = y + params.nu * q * dt + dw[k]
+        d = d + params.mu * dt + db[k]
+        p_hat = p_hat + dw[k]
 
     paths.xi[rows] = xi
     paths.running_cost[rows] = running_cost
@@ -335,8 +371,8 @@ def check_grid(params: ModelParams, jumps: JumpParams | None, n_paths: int,
     Rejects a non-positive path count, a ``dt`` that is not finite or does
     not divide the horizon, a ``dt`` too coarse for the jumps, a bad
     ``record_every``, and a run whose recorded arrays plus one chunk's
-    noise and jump events, or one path's jump draws, exceed physical memory.
-    Returns the number of Euler steps.
+    noise and jump events, or one batch of jump draws, exceed physical
+    memory.  Returns the number of Euler steps.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
@@ -357,15 +393,18 @@ def check_grid(params: ModelParams, jumps: JumpParams | None, n_paths: int,
     # recorded arrays (x, y, d, p_hat, q, jump_flag) plus one chunk's noise
     # (dw, db) and its jump events, at most one per node and path, which
     # peak at 5 items each while being sorted: 8-byte items throughout
-    # (tracemalloc: 2.15 noise units at 1.5 jumps a day, 5.14 at 1e4)
+    # (tracemalloc: 2.20 noise units at 1.5 jumps a day, 5.50 at 1e4)
     events = math.ceil(min(draws, n_steps + 1))
     needed = (n_paths * n_recorded * 6
               + min(n_paths, _CHUNK) * (2 * n_steps + 5 * events)) * 8
     model.check_memory(needed, f"{n_paths} paths at dt = {dt:g} s")
-    # one path's jump draws peak at 58 B each (tracemalloc, 1e5 and 1e6
-    # draws): the float list and arrays of _draw_jumps, then the node and
-    # merge temporaries
-    model.check_memory(64 * draws, f"{draws:.3g} expected jump draws per path")
+    # a batch of jump draws holds at most n_steps draws of earlier paths
+    # plus one path's; they peak at 98 B each while merged (tracemalloc,
+    # one path of 1e5 and 1e6 draws): the per-path arrays, their
+    # concatenation, and the node and np.unique temporaries
+    batch = n_steps + draws if draws > 0.0 else 0.0
+    model.check_memory(104 * batch, f"{draws:.3g} expected jump draws per "
+                       f"path (merged {batch:.3g} at a time)")
     return n_steps
 
 
@@ -409,13 +448,21 @@ def sample_paths(params: ModelParams, jumps: JumpParams | None, policy: Policy,
 
 
 def estimate_cost(paths: PathSet, params: ModelParams) -> CostEstimate:
-    """Mean realized cost J = trading cost integral + terminal cost."""
+    """Mean realized cost J = trading cost integral + terminal cost.
+
+    Raises ``ValueError`` if the mean, or with two or more paths the
+    standard error, is not finite (a state that overflows float64).
+    """
     terminal = model.terminal_cost(paths.terminal_spread, paths.xi, params)
     total = paths.running_cost + terminal
+    mean = float(total.mean())
     stderr = float(total.std(ddof=1) / math.sqrt(paths.n_paths)) \
         if paths.n_paths > 1 else float("nan")
-    return CostEstimate(mean=float(total.mean()), stderr=stderr,
-                        n_paths=paths.n_paths)
+    if not (math.isfinite(mean)
+            and (paths.n_paths == 1 or math.isfinite(stderr))):
+        raise ValueError(f"the realized cost is not finite (mean {mean:g}, "
+                         f"stderr {stderr:g}): the paths overflow float64")
+    return CostEstimate(mean=mean, stderr=stderr, n_paths=paths.n_paths)
 
 
 def martingale_diagnostics(paths: PathSet, params: ModelParams,

@@ -84,6 +84,18 @@ class TestSimulate:
         assert err.startswith("error:") and "finite beta" in err
         assert not (out / "paths.csv").exists()
 
+    def test_overflowing_cost_exits_1_without_csv(self, tmp_path, capsys):
+        """D0 = 1e200 overflows the trading cost: refused before the CSV
+        is written, without numpy's warnings (pytest is configured to turn
+        an escaped warning into an error)."""
+        out = tmp_path / "out"
+        assert run(["simulate", "--paths", "2", "--dt", "60", "--d0", "1e200",
+                    "--out", str(out)]) == 1
+        out_text, err = capsys.readouterr()
+        assert err.startswith("error:") and "not finite" in err
+        assert out_text == ""
+        assert not (out / "paths.csv").exists()
+
     def test_golden_csv_bytes(self, tmp_path):
         assert run(["simulate", "--scenario", "jump-negative", "--paths", "3",
                     "--dt", "60", "--out", str(tmp_path)]) == 0
@@ -112,6 +124,21 @@ class TestVerify:
         monkeypatch.setattr(closed_form, "riccati_coefficients", tampered)
         assert run(["verify", "--paths", "400", "--out", str(tmp_path)]) == 2
         assert "verification checks failed" in capsys.readouterr().err
+
+    def test_one_path_exits_1_before_the_oracle(self, tmp_path, monkeypatch,
+                                                capsys):
+        """One path has no standard error, so the Monte Carlo checks could
+        only fail: refused before any work, with no report written."""
+        def not_called(*args, **kwargs):
+            raise AssertionError("the oracle ran before the path count check")
+
+        monkeypatch.setattr(oracle, "integrate_riccati", not_called)
+        out = tmp_path / "report"
+        assert run(["verify", "--paths", "1", "--out", str(out)]) == 1
+        out_text, err = capsys.readouterr()
+        assert err.startswith("error:") and "at least 2" in err
+        assert out_text == ""
+        assert not out.exists()
 
     def test_blown_up_integration_exits_2(self, tmp_path, capsys):
         """sigma0 = 1e20 makes the RK4 oracle blow up at its first step:

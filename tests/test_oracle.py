@@ -190,6 +190,16 @@ class TestOptimalityProbe:
         with pytest.raises(ValueError):
             oracle.optimality_probe(sim_params, None, base, 0.0, 10, 0)
 
+    def test_one_path_refused_before_simulating(self, sim_params,
+                                                monkeypatch):
+        def not_called(*args, **kwargs):
+            raise AssertionError("paths were simulated")
+
+        monkeypatch.setattr(simulate, "sample_paths", not_called)
+        base = simulate.optimal_policy(sim_params, None, constrained=False)
+        with pytest.raises(ValueError, match="at least 2"):
+            oracle.optimality_probe(sim_params, None, base, 0.25, 1, 0)
+
 
 class TestVerificationReport:
     def test_full_report_passes(self, sim_params):

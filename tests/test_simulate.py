@@ -302,6 +302,15 @@ class TestGoldenPaths:
         assert self._digest(paths) == (
             "9c8fdf40ce3d0ab35e660e18028185b6d0e77e99d6353938b3b9127ef1968496")
 
+    def test_many_flushes_across_chunks(self, jumps_negative):
+        """20 jumps a day over 2100 paths: each chunk merges its jump draws
+        in many batches, and the second chunk starts mid-run.  Digest taken
+        from the per-path merge."""
+        paths = self._run(replace(jumps_negative, lam=20.0 / DAY), 2100, None)
+        assert paths.n_paths > simulate._CHUNK
+        assert self._digest(paths) == (
+            "3ff4e930f4cdbeafaa6b2ef2dd2c67b0d05f909f3ea79d8d1a1ee8310817ebe4")
+
     @pytest.mark.parametrize("lam", [0.0, None])
     def test_no_jumps(self, jumps_negative, lam):
         jumps = None if lam is None else replace(jumps_negative, lam=lam)
@@ -336,17 +345,18 @@ class TestMemory:
                              ids=["jumps", "no-jumps"])
     def test_chunk_working_set(self, sim_params, jumps_negative, with_jumps):
         """One 1024-path chunk holds its time-major dW and dB, the drawing
-        block and small per-step arrays; 1.5 jumps a day add about 1500
-        events.  Measured 2.14 units without jumps, 2.15 with them."""
+        block with one block-sized temporary while it is scaled, and small
+        per-step arrays; 1.5 jumps a day add about 1500 events.  Measured
+        2.19 units without jumps, 2.20 with them."""
         jumps = jumps_negative if with_jumps else None
         assert self._chunk_peak(sim_params, jumps, 1024) <= 2.25
 
     def test_saturated_jump_events(self, sim_params, jumps_negative):
-        """1e4 jumps a day, about 7 per node: merged per path, there is an
-        event at almost every (node, path), and sorting them peaks at 5
-        units before dW and dB exist.  Measured 5.54, of which the drawing
-        block is 0.25 on this 2-hour horizon.  Keeping every raw draw
-        would take tens of units."""
+        """1e4 jumps a day, about 7 per node: merged per batch of paths,
+        there is an event at almost every (node, path), and sorting them
+        peaks at 5 units before dW and dB exist.  Measured 5.50, of which
+        the drawing block is 0.25 on this 2-hour horizon.  Keeping every
+        raw draw would take tens of units."""
         params = replace(sim_params, horizon=2 * HOUR)
         jumps = replace(jumps_negative, lam=1e4 / DAY)
         assert self._chunk_peak(params, jumps, 512) <= 6.0
@@ -392,6 +402,14 @@ class TestEstimates:
         assert est.mean == pytest.approx(float(total.mean()), rel=1e-14)
         assert est.stderr == pytest.approx(
             float(total.std(ddof=1)) / math.sqrt(50), rel=1e-12)
+
+    def test_non_finite_cost_is_refused(self, sim_params):
+        policy = simulate.optimal_policy(sim_params, None, constrained=False)
+        with np.errstate(over="ignore", invalid="ignore"):
+            paths = simulate.sample_paths(sim_params, None, policy, 2, 3600.0,
+                                          8, d0=1e200, y0=50.0)
+            with pytest.raises(ValueError, match="not finite"):
+                simulate.estimate_cost(paths, sim_params)
 
     def test_martingale_needs_enough_nodes(self, sim_params):
         policy = simulate.optimal_policy(sim_params, None, constrained=False)
