@@ -65,7 +65,6 @@ from .simulate import (
     export_csv,
     martingale_diagnostics,
     optimal_policy,
-    pure_trader_policy,
     sample_paths,
     zero_policy,
 )

@@ -176,13 +176,10 @@ def cmd_errorbound(args) -> int:
     if delay_seconds is not None:
         report = delay_mod.error_bound_delay(state, params, delay_seconds)
         kind = f"delay (h = {delay_seconds / HOUR:g} h)"
-    elif jumps is not None and jumps.lam > 0.0:
+    else:  # without jumps this is the closed-form no-jump bound
         report = error_bounds.error_bound_jump(
             tau, state.spread, state.y, params, jumps, seed=args.seed)
-        kind = "jump"
-    else:
-        report = error_bounds.error_bound(tau, state.spread, state.y, params)
-        kind = "no-jump"
+        kind = "no-jump" if jumps is None or jumps.lam == 0.0 else "jump"
     print(f"model: {kind}")
     print(f"error bound: {report.bound:.6g} EUR")
     if report.mc_stderr:

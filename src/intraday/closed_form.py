@@ -41,10 +41,17 @@ class CoefficientSet:
     h: float
     k: float
 
-    def assemble(self, spread, y):
-        """Evaluate the quadratic form at spread d - x and price y."""
-        return (self.a * spread**2 + self.b * y**2 + self.f * spread * y
-                + self.g * spread + self.h * y + self.k)
+    def assemble(self, spread: float, y: float) -> float:
+        """Quadratic form at spread d - x and price y; ValueError on overflow."""
+        try:
+            value = (self.a * spread**2 + self.b * y**2 + self.f * spread * y
+                     + self.g * spread + self.h * y + self.k)
+        except OverflowError:  # float ** raises; float * returns inf
+            value = math.inf
+        if not math.isfinite(value):
+            raise ValueError(f"the value function overflows float64 at "
+                             f"spread {spread:g} MW, price {y:g} EUR/MW")
+        return value
 
 
 def riccati_coefficients(tau: float, params: ModelParams) -> CoefficientSet:

@@ -41,6 +41,9 @@ _PSI_TILDE_TAIL = (1.0, -3.0, 15.0, -105.0, 945.0, -10395.0)
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
+#: Monte Carlo draws of the negative-jump sum in :func:`error_bound_jump`.
+MC_SAMPLES = 100_000
+
 
 @dataclass(frozen=True)
 class SpreadMoments:
@@ -227,8 +230,7 @@ def mean_spread_jump(tau, spread, y, params: ModelParams,
 
 
 def error_bound_jump(tau, spread, y, params: ModelParams,
-                     jumps: JumpParams | None, n_samples: int = 100_000,
-                     seed: int = 0) -> ErrorBoundReport:
+                     jumps: JumpParams | None, seed: int = 0) -> ErrorBoundReport:
     """Error bound in the jump model.
 
     The bound is ``(eta r / (2 beta)) V E[psi((m_lambda + S) / sqrt(V))]``
@@ -238,14 +240,13 @@ def error_bound_jump(tau, spread, y, params: ModelParams,
         (delta- (nu (tau - s) + 2 gamma) + pi- (tau - s))
             / ((r + nu)(tau - s) + 2 gamma).
 
-    The expectation over S is estimated by Monte Carlo (closed form when
-    p- = 0 or lam = 0, in which case the standard error is zero).
+    The expectation over S is estimated from ``MC_SAMPLES`` (100 000)
+    Monte Carlo draws keyed by ``seed`` (closed form when p- = 0 or
+    lam = 0, in which case the standard error is zero).
     """
     check_seed(seed)
     if jumps is None or jumps.lam == 0.0:
         return error_bound(tau, spread, y, params)
-    if n_samples < 1000:
-        raise ValueError("n_samples must be at least 1000")
     prefactor = _bound_prefactor(params)
     m_l = float(mean_spread_jump(tau, spread, y, params, jumps))
     v = variance_spread(tau, params)
@@ -255,17 +256,17 @@ def error_bound_jump(tau, spread, y, params: ModelParams,
 
     chunk = 16_384
     # a chunk's jump draws peak at four 8-byte arrays per draw
-    draws = min(n_samples, chunk) * rate_minus * tau
+    draws = chunk * rate_minus * tau
     check_memory(32 * draws, f"{draws:.3g} expected jump draws per chunk")
     r = reduced_cost_coefficient(params)
     nu, gamma = params.nu, params.gamma
     sqrt_v = math.sqrt(v)
     rng = np.random.Generator(
         np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-    bounds = np.empty(n_samples)
-    probs = np.empty(n_samples)
-    for start in range(0, n_samples, chunk):
-        size = min(chunk, n_samples - start)
+    bounds = np.empty(MC_SAMPLES)
+    probs = np.empty(MC_SAMPLES)
+    for start in range(0, MC_SAMPLES, chunk):
+        size = min(chunk, MC_SAMPLES - start)
         counts = rng.poisson(rate_minus * tau, size=size)
         total = int(counts.sum())
         times = rng.uniform(0.0, tau, size=total)
@@ -277,6 +278,6 @@ def error_bound_jump(tau, spread, y, params: ModelParams,
         z = (m_l + sums) / sqrt_v
         bounds[start:start + size] = prefactor * v * psi(z)
         probs[start:start + size] = norm.sf(z)
-    stderr = float(bounds.std(ddof=1) / math.sqrt(n_samples))
+    stderr = float(bounds.std(ddof=1) / math.sqrt(MC_SAMPLES))
     return ErrorBoundReport(float(bounds.mean()), float(probs.mean()),
                             SpreadMoments(mean=m_l, variance=v), stderr)

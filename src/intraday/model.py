@@ -118,11 +118,6 @@ class ModelParams:
         """True when the agent has no production plant (beta = infinity)."""
         return self.beta is None
 
-    @property
-    def r(self) -> float:
-        """Reduced quadratic cost coefficient r(eta, beta)."""
-        return reduced_cost_coefficient(self)
-
 
 @dataclass(frozen=True)
 class JumpParams:

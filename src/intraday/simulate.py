@@ -32,7 +32,7 @@ arrays stay path-major, shape (n_paths, n_recorded).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -122,8 +122,8 @@ class DriftEstimate:
     stderr: float
     expected: float
 
-    def contains_expected(self, n_sigma: float = 3.0) -> bool:
-        return abs(self.slope - self.expected) <= n_sigma * self.stderr
+    def contains_expected(self) -> bool:  # within 3 standard errors
+        return abs(self.slope - self.expected) <= 3.0 * self.stderr
 
 
 def optimal_policy(params: ModelParams, jumps: JumpParams | None = None,
@@ -132,32 +132,15 @@ def optimal_policy(params: ModelParams, jumps: JumpParams | None = None,
     if params.pure_trader:  # it has no production rule to apply at T
         raise ValueError("optimal policy requires finite beta; a pure "
                          "trader is not simulated")
+    produce = (model.optimal_production_constrained if constrained
+               else model.optimal_production_unconstrained)
 
     def rate_rule(s, x, y, d):
         tau = params.horizon - s
         return closed_form.feedback_rate_jump(tau, d - x, y, params, jumps)
 
-    if constrained:
-        def production_rule(spread, y):
-            return model.optimal_production_constrained(spread, params)
-    else:
-        def production_rule(spread, y):
-            return model.optimal_production_unconstrained(spread, params)
-
     return Policy(rate_rule=rate_rule, production_time=params.horizon,
-                  production_rule=production_rule)
-
-
-def pure_trader_policy(params: ModelParams) -> Policy:
-    """Pure-trader policy: no production, rate with r replaced by eta."""
-    pure = replace(params, beta=None)
-
-    def rate_rule(s, x, y, d):
-        tau = params.horizon - s
-        return closed_form.feedback_rate(tau, d - x, y, pure)
-
-    return Policy(rate_rule=rate_rule, production_time=params.horizon,
-                  production_rule=lambda spread, y: 0.0)
+                  production_rule=lambda spread, y: produce(spread, params))
 
 
 def zero_policy(params: ModelParams) -> Policy:

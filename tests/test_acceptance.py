@@ -336,7 +336,7 @@ class TestMartingaleDrift:
     def test_nojump_drift_contains_zero(self, paths_nojump, sim_params):
         drift = simulate.martingale_diagnostics(paths_nojump, sim_params)
         assert drift.expected == 0.0
-        assert drift.contains_expected(3.0), drift
+        assert drift.contains_expected(), drift
 
     def test_jump_positive_drift(self, paths_jump_pos, sim_params_eta200,
                                  jumps_positive):
@@ -346,7 +346,7 @@ class TestMartingaleDrift:
         expected = -jumps_positive.lam * jumps_positive.pi / (
             2.0 * sim_params_eta200.gamma)
         assert drift.expected == pytest.approx(expected, rel=1e-12)
-        assert drift.contains_expected(3.0), drift
+        assert drift.contains_expected(), drift
 
     def test_jump_negative_drift(self, paths_jump_neg, sim_params_eta200,
                                  jumps_negative):
@@ -354,7 +354,7 @@ class TestMartingaleDrift:
                                                 sim_params_eta200,
                                                 jumps_negative)
         assert drift.expected > 0.0  # mean price jump is negative
-        assert drift.contains_expected(3.0), drift
+        assert drift.contains_expected(), drift
 
 
 # ---------------------------------------------------------------------------

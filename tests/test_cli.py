@@ -334,6 +334,34 @@ class TestOversizedGrid:
         assert not any(tmp_path.iterdir())
 
 
+class TestOverflowingValue:
+    """A state whose closed-form value overflows float64 is a validation
+    error: exit 1 with an ``error:`` line, nothing written."""
+
+    def test_verify_exits_1_before_the_oracle(self, tmp_path, monkeypatch,
+                                              capsys):
+        def not_called(*args, **kwargs):
+            raise AssertionError("the oracle ran before the value check")
+
+        monkeypatch.setattr(oracle, "integrate_riccati", not_called)
+        monkeypatch.chdir(tmp_path)
+        assert run(["verify", "--paths", "2", "--d0", "1e200",
+                    "--out", "report"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "overflows float64" in err
+        assert "Traceback" not in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("option", ["--d0", "--y0"])
+    def test_delay_exits_1(self, option, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(["delay", option, "1e200"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "overflows float64" in err
+        assert "Traceback" not in err
+        assert not any(tmp_path.iterdir())
+
+
 class TestOversizedJumpDraws:
     """1e12 jumps per day would be drawn path by path until the memory ran
     out; both commands that simulate refuse them before anything runs."""

@@ -12,6 +12,7 @@ from intraday.model import (
     MarketState,
     ModelParams,
     optimal_production_unconstrained,
+    reduced_cost_coefficient,
 )
 
 # Frozen regression values (eta = 200 simulation parameters, h = 4 h).
@@ -165,7 +166,8 @@ class TestPostDecisionRate:
         q0 = closed_form.feedback_rate(p.horizon, state.spread, state.y, p)
         v_h = delay.variance_spread_delay(h, p)
         m = error_bounds.mean_spread(p.horizon, state.spread, state.y, p)
-        shift = (p.eta * p.r / (p.beta * ((p.eta + p.nu) * h + 2.0 * p.gamma))
+        shift = (p.eta * reduced_cost_coefficient(p)
+                 / (p.beta * ((p.eta + p.nu) * h + 2.0 * p.gamma))
                  * math.sqrt(v_h) * error_bounds.psi_tilde(m / math.sqrt(v_h)))
         assert delay.post_decision_mean_rate(state, p, h) == \
             pytest.approx(q0 - shift, rel=1e-12)

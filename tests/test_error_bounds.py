@@ -244,10 +244,10 @@ class TestJumpBound:
                                                      jumps_negative):
         rep1 = error_bounds.error_bound_jump(
             24 * HOUR, 50_000.0, 50.0, sim_params_eta200, jumps_negative,
-            n_samples=20_000, seed=11)
+            seed=11)
         rep2 = error_bounds.error_bound_jump(
             24 * HOUR, 50_000.0, 50.0, sim_params_eta200, jumps_negative,
-            n_samples=20_000, seed=11)
+            seed=11)
         assert rep1.bound == rep2.bound  # bit-identical for a fixed seed
         assert rep1.mc_stderr > 0.0
         plain = error_bounds.error_bound(24 * HOUR, 50_000.0, 50.0,
@@ -263,10 +263,3 @@ class TestJumpBound:
         with pytest.raises(ValueError, match="physical memory"):
             error_bounds.error_bound_jump(24 * HOUR, 50_000.0, 50.0,
                                           sim_params_eta200, jumps)
-
-    def test_small_sample_count_rejected(self, sim_params_eta200,
-                                         jumps_negative):
-        with pytest.raises(ValueError):
-            error_bounds.error_bound_jump(24 * HOUR, 50_000.0, 50.0,
-                                          sim_params_eta200, jumps_negative,
-                                          n_samples=10)

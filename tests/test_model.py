@@ -45,10 +45,6 @@ class TestReducedCoefficient:
         assert params.pure_trader
         assert params.beta is None
 
-    def test_r_property(self):
-        params = make_params()
-        assert params.r == reduced_cost_coefficient(params)
-
     @given(st.floats(1e-6, 1e6), st.floats(1e-6, 1e6))
     def test_r_below_both(self, eta, beta):
         params = make_params(eta=eta, beta=beta)

@@ -268,10 +268,10 @@ class TestGoldenPaths:
 
     @staticmethod
     def _run(jumps, n_paths, record_every, d0=cli.DEFAULT_D0,
-             y0=cli.DEFAULT_Y0):
+             y0=cli.DEFAULT_Y0, constrained=True):
         params, _, _ = load_param_file(
             cli.resolve_config("sim-jump-neg", "sim-jump-neg"))
-        policy = simulate.optimal_policy(params, jumps)
+        policy = simulate.optimal_policy(params, jumps, constrained)
         return simulate.sample_paths(params, jumps, policy, n_paths, 60.0,
                                      cli.DEFAULT_SEED, d0=d0, y0=y0,
                                      record_every=record_every)
@@ -310,6 +310,12 @@ class TestGoldenPaths:
         assert paths.n_paths > simulate._CHUNK
         assert self._digest(paths) == (
             "3ff4e930f4cdbeafaa6b2ef2dd2c67b0d05f909f3ea79d8d1a1ee8310817ebe4")
+
+    def test_unconstrained_production(self, jumps_negative):
+        """The policy that ``verify`` and the mc-cost benchmark run."""
+        paths = self._run(jumps_negative, 5, 7, constrained=False)
+        assert self._digest(paths) == (
+            "240c2e677dc861c8399d4f22133f3e37cf68b47e80c5ea3f73ee335fc838ac72")
 
     @pytest.mark.parametrize("lam", [0.0, None])
     def test_no_jumps(self, jumps_negative, lam):
@@ -432,12 +438,6 @@ class TestEstimates:
         q0 = base.rate_rule(0.0, 0.0, 50.0, 5e4)
         q1 = bumped.rate_rule(0.0, 0.0, 50.0, 5e4)
         assert q1 == pytest.approx(q0 + 0.5, rel=1e-14)
-
-    def test_pure_trader_policy_never_produces(self, sim_params):
-        policy = simulate.pure_trader_policy(sim_params)
-        paths = simulate.sample_paths(sim_params, None, policy, 4, 3600.0, 8,
-                                      d0=5e4, y0=50.0)
-        assert np.all(paths.xi == 0.0)
 
 
 class TestCsvExport:
