@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import replace
 from importlib import resources
@@ -255,6 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("delay", cmd_delay, "print delay quantities",
             "--config --d0 --y0 --x0")
     p.add_argument("--delay-hours", type=float, default=None)
+    # argparse's private matcher takes -5e4 for an option: add exponents
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = re.compile(r"^-\d*\.?\d+([eE][-+]?\d+)?$")
     return parser
 
 

@@ -53,6 +53,9 @@ class SpreadMoments:
     variance: float   # MW^2
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.mean) and math.isfinite(self.variance)):
+            raise ValueError(f"the terminal spread overflows float64: mean "
+                             f"{self.mean:g} MW, variance {self.variance:g}")
         if self.variance < 0:
             raise ValueError("variance must be nonnegative")
 
@@ -66,6 +69,11 @@ class ErrorBoundReport:
     moments: SpreadMoments
     mc_stderr: float = 0.0        # EUR; zero for closed-form cases
 
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.bound):
+            raise ValueError(f"the error bound overflows float64 at mean "
+                             f"terminal spread {self.moments.mean:g} MW")
+
 
 def _tail_series(z, coefficients):
     u = 1.0 / np.asarray(z, dtype=float) ** 2
@@ -75,38 +83,41 @@ def _tail_series(z, coefficients):
     return total
 
 
+def _split(z, direct, tail):
+    """``direct`` below ``_TAIL_Z`` and ``tail`` from it on, each evaluated
+    only on its own side; the tail's z**3 overflows to inf quietly.  A
+    scalar keeps numpy's scalar arithmetic, an ulp off the array loops."""
+    z = np.asarray(z, dtype=float)
+    with np.errstate(over="ignore", divide="ignore"):  # divide: log(0)
+        if z.ndim == 0:
+            return float(direct(z) if z < _TAIL_Z else tail(z[()]))
+        low = z < _TAIL_Z
+        out = np.empty_like(z)
+        out[low], out[~low] = direct(z[low]), tail(z[~low])
+    return out
+
+
 def psi(z):
     """psi(z) = (z^2 + 1) Phi(-z) - z phi(z); nonnegative and decreasing."""
-    z = np.asarray(z, dtype=float)
-    direct = (z**2 + 1.0) * norm.sf(z) - z * norm.pdf(z)
-    tail_z = np.maximum(z, _TAIL_Z)  # avoid overflow warnings off-branch
-    tail = norm.pdf(tail_z) * 2.0 / tail_z**3 * _tail_series(tail_z, _PSI_TAIL)
-    out = np.where(z < _TAIL_Z, direct, tail)
-    return out if out.ndim else float(out)
+    return _split(
+        z, lambda z: (z**2 + 1.0) * norm.sf(z) - z * norm.pdf(z),
+        lambda z: norm.pdf(z) * 2.0 / z**3 * _tail_series(z, _PSI_TAIL))
 
 
 def log_psi(z):
     """Natural log of psi(z), valid far beyond the underflow point of psi."""
-    z = np.asarray(z, dtype=float)
-    with np.errstate(divide="ignore"):
-        direct = np.log(np.maximum((z**2 + 1.0) * norm.sf(z) - z * norm.pdf(z),
-                                   0.0))
-    tail_z = np.maximum(z, _TAIL_Z)
-    tail = (-0.5 * tail_z**2 - _LOG_SQRT_2PI
-            + np.log(2.0 / tail_z**3 * _tail_series(tail_z, _PSI_TAIL)))
-    out = np.where(z < _TAIL_Z, direct, tail)
-    return out if out.ndim else float(out)
+    return _split(
+        z, lambda z: np.log(np.maximum(
+            (z**2 + 1.0) * norm.sf(z) - z * norm.pdf(z), 0.0)),
+        lambda z: (-0.5 * z**2 - _LOG_SQRT_2PI
+                   + np.log(2.0 / z**3 * _tail_series(z, _PSI_TAIL))))
 
 
 def psi_tilde(z):
     """psi_tilde(z) = phi(z) - z Phi(-z); nonnegative for all z."""
-    z = np.asarray(z, dtype=float)
-    direct = norm.pdf(z) - z * norm.sf(z)
-    tail_z = np.maximum(z, _TAIL_Z)
-    tail = (norm.pdf(tail_z) / tail_z**2
-            * _tail_series(tail_z, _PSI_TILDE_TAIL))
-    out = np.where(z < _TAIL_Z, direct, tail)
-    return out if out.ndim else float(out)
+    return _split(
+        z, lambda z: norm.pdf(z) - z * norm.sf(z),
+        lambda z: norm.pdf(z) / z**2 * _tail_series(z, _PSI_TILDE_TAIL))
 
 
 def mean_spread(tau, spread, y, params: ModelParams):
@@ -250,6 +261,7 @@ def error_bound_jump(tau, spread, y, params: ModelParams,
     prefactor = _bound_prefactor(params)
     m_l = float(mean_spread_jump(tau, spread, y, params, jumps))
     v = variance_spread(tau, params)
+    moments = SpreadMoments(mean=m_l, variance=v)  # refused before the draws
     rate_minus = jumps.lam * jumps.p_minus
     if rate_minus == 0.0 or v == 0.0:
         return _report(m_l, v, prefactor)
@@ -278,6 +290,7 @@ def error_bound_jump(tau, spread, y, params: ModelParams,
         z = (m_l + sums) / sqrt_v
         bounds[start:start + size] = prefactor * v * psi(z)
         probs[start:start + size] = norm.sf(z)
-    stderr = float(bounds.std(ddof=1) / math.sqrt(MC_SAMPLES))
+    with np.errstate(invalid="ignore"):  # inf - inf: the report refuses inf
+        stderr = float(bounds.std(ddof=1) / math.sqrt(MC_SAMPLES))
     return ErrorBoundReport(float(bounds.mean()), float(probs.mean()),
-                            SpreadMoments(mean=m_l, variance=v), stderr)
+                            moments, stderr)

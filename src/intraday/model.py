@@ -284,7 +284,8 @@ def load_param_file(path) -> tuple[ModelParams, JumpParams | None, float | None]
     Required keys: sigma0, sigma_d, beta, eta, mu, nu, gamma, rho,
     horizon_hours.  Optional: a "jump" block with keys lambda_per_day,
     p_plus, delta_plus, delta_minus, pi_plus, pi_minus, and a scalar
-    "delay_hours".  ``beta`` may be JSON ``null`` (pure trader).  Unknown
+    "delay_hours", but not both: no command models delayed production
+    under jumps.  ``beta`` may be JSON ``null`` (pure trader).  Unknown
     keys raise ``ValueError``.
 
     Returns
@@ -299,6 +300,9 @@ def load_param_file(path) -> tuple[ModelParams, JumpParams | None, float | None]
         jumps = JumpParams(lam=block.pop("lambda_per_day") / DAY, **block)
     top = _read_block(raw, _PARAM_KEYS, ("delay_hours",), "parameter", path)
     delay = top.pop("delay_hours", None)
+    if delay is not None and jumps is not None:
+        raise ValueError(f"{path}: a config holds either a jump block or "
+                         "delay_hours, not both")
     params = ModelParams(horizon=top.pop("horizon_hours") * HOUR, **top)
     if delay is not None:
         delay *= HOUR

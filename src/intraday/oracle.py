@@ -11,11 +11,9 @@ log time s, tau = scale (e^s - 1) with scale = 2 gamma / (r + nu), which
 resolves the boundary layer of width ~scale at tau = 0 at any stiffness.
 Nothing here is used in the production evaluation path.
 
-The RK4 state is a 6-tuple of Python floats rather than a numpy array: on
-six numbers numpy's per-call overhead dominated, and the float form runs
-about four times faster.  It performs the same IEEE operations in the same
-order (``**`` is the C library ``pow`` in both), so its coefficients are
-bit-identical to the former array form.
+The RK4 state is a tuple of Python floats rather than a numpy array: on
+eight numbers numpy's per-call overhead dominated, and the float form runs
+about four times faster.
 """
 
 from __future__ import annotations
@@ -30,15 +28,8 @@ from . import closed_form, error_bounds, simulate
 from .model import (JumpParams, MarketState, ModelParams, check_seed,
                     reduced_cost_coefficient, terminal_cost)
 
-#: Relative tolerance of the closed-form comparison, and its relaxation in
-#: the stiff near-degenerate regime (gamma ~ 1e-10), where the Riccati
-#: flow has a boundary layer of width ~ 2 gamma / r at tau = 0.
+#: Relative tolerance of the closed-form comparison, at every stiffness.
 ODE_RTOL = 1e-8
-ODE_RTOL_STIFF = 1e-5
-
-#: Stiffness ratio (r + nu) tau / (2 gamma) beyond which the comparison
-#: uses ``ODE_RTOL_STIFF``.
-_STIFF_RATIO = 1e4
 
 _BLOWUP = 1e30
 
@@ -52,18 +43,24 @@ class OdeSolution:
 
     ``coeffs`` has one row per grid node with columns (a, b, f, g, h, k)
     — for the jump system (g, h, k) are the jump-corrected coefficients.
-    ``stiff``: tau spans more than ``_STIFF_RATIO`` boundary-layer widths.
     """
 
     tau: np.ndarray
     coeffs: np.ndarray
-    stiff: bool
 
 
 def _rhs(params: ModelParams, jumps: JumpParams | None
          ) -> Callable[[Sequence[float], float], tuple]:
     """Right-hand side of the Riccati system in time-to-go, scaled by the
-    time-change speed; the system is autonomous, so it takes no time."""
+    time-change speed; the system is autonomous, so it takes no time.
+
+    The state carries c1 = nu f - 2 a and c2 = 1 - f + 2 nu b, integrated
+    by dc/dtau = c (c1 - nu c2) / (2 gamma), for dg and dh only: there
+    u3 / (2 gamma) multiplies them, and c2 ~ 2 gamma / (r tau) rebuilt from
+    b and f is round-off in a stiff system.  da, db, df keep the algebraic
+    u1, u2, whose closed loop holds a to round-off; feeding them c instead
+    raised the pure-trader error in k from 8e-14 to 1.2e-10.
+    """
     mu, nu, gamma = params.mu, params.nu, params.gamma
     s0, sd, rho = params.sigma0, params.sigma_d, params.rho
     jump = jumps is not None and jumps.lam > 0.0
@@ -72,28 +69,29 @@ def _rhs(params: ModelParams, jumps: JumpParams | None
         pp, pm = jumps.p_plus, jumps.p_minus
         dp, dm = jumps.delta_plus, jumps.delta_minus
         pip, pim = jumps.pi_plus, jumps.pi_minus
+        m_dd = pp * dp**2 + pm * dm**2
+        m_pp = pp * pip**2 + pm * pim**2
+        m_dp = pp * dp * pip + pm * dm * pim
 
     def rhs(v: Sequence[float], speed: float) -> tuple:
-        a, b, f, g, h, k = v
+        a, b, f, g, h, k, c1, c2 = v
         u1 = -2.0 * a + nu * f
         u2 = 2.0 * nu * b - f + 1.0
         u3 = -g + nu * h
         da = -u1**2 / (4.0 * gamma)
         db = -u2**2 / (4.0 * gamma)
         df = -u1 * u2 / (2.0 * gamma)
-        dg = 2.0 * mu * a - u1 * u3 / (2.0 * gamma)
-        dh = mu * f - u2 * u3 / (2.0 * gamma)
+        dg = 2.0 * mu * a - c1 * u3 / (2.0 * gamma)
+        dh = mu * f - c2 * u3 / (2.0 * gamma)
         dk = (mu * g + s0**2 * b + sd**2 * a + rho * s0 * sd * f
               - u3**2 / (4.0 * gamma))
         if jump:
             dg += lam * (2.0 * delta * a + pi * f)
             dh += lam * (2.0 * pi * b + delta * f)
-            dk += lam * ((pp * dp**2 + pm * dm**2) * a
-                         + (pp * pip**2 + pm * pim**2) * b
-                         + (pp * dp * pip + pm * dm * pim) * f
-                         + delta * g + pi * h)
+            dk += lam * (m_dd * a + m_pp * b + m_dp * f + delta * g + pi * h)
+        dc = (c1 - nu * c2) / (2.0 * gamma) * speed
         return (da * speed, db * speed, df * speed,
-                dg * speed, dh * speed, dk * speed)
+                dg * speed, dh * speed, dk * speed, c1 * dc, c2 * dc)
     return rhs
 
 
@@ -111,9 +109,9 @@ def _integrate(params: ModelParams, jumps: JumpParams | None, tau_max: float,
 
     rhs = _rhs(params, jumps)
     half, sixth = 0.5 * h, h / 6.0
-    v = (0.5 * r, 0.0, 0.0, 0.0, 0.0, 0.0)
+    v = (0.5 * r, 0.0, 0.0, 0.0, 0.0, 0.0, -r, 1.0)
     coeffs = np.empty((n_steps + 1, 6))
-    coeffs[0] = v
+    coeffs[0] = v[:6]
     for i in range(n_steps):
         s = grid_s[i]
         try:  # the time-change speed dtau/ds is scale e^s
@@ -132,10 +130,9 @@ def _integrate(params: ModelParams, jumps: JumpParams | None, tau_max: float,
             raise RuntimeError(
                 f"Riccati integration blew up at step {i + 1}/{n_steps}; "
                 "reduce the step size")
-        coeffs[i + 1] = v
+        coeffs[i + 1] = v[:6]
     tau_grid = np.array([scale * math.expm1(s) for s in grid_s])
-    return OdeSolution(tau=tau_grid, coeffs=coeffs,
-                       stiff=tau_max / scale > _STIFF_RATIO)
+    return OdeSolution(tau=tau_grid, coeffs=coeffs)
 
 
 def integrate_riccati(params: ModelParams, tau_max: float,
@@ -275,9 +272,8 @@ def verification_report(params: ModelParams, jumps: JumpParams | None = None,
             MarketState(t=0.0, x=0.0, y=y0, d=d0), params, jumps)
     checks = {}
 
-    sol = integrate_riccati(params, params.horizon)
-    rtol = ODE_RTOL_STIFF if sol.stiff else ODE_RTOL
-    errors = compare_with_closed_form(sol, params)
+    errors = compare_with_closed_form(
+        integrate_riccati(params, params.horizon), params)
     errors_j = errors  # without jumps the jump system is the same system
     if jumps is not None and jumps.lam > 0.0:
         sol_j = integrate_jump_riccati(params, jumps, params.horizon)
@@ -286,8 +282,8 @@ def verification_report(params: ModelParams, jumps: JumpParams | None = None,
         checks[name] = {
             "max_relative_error": max(errs.values()),
             "per_coefficient": errs,
-            "tolerance": rtol,
-            "passed": max(errs.values()) <= rtol,
+            "tolerance": ODE_RTOL,
+            "passed": max(errs.values()) <= ODE_RTOL,
         }
 
     v_closed = error_bounds.variance_spread(params.horizon, params)

@@ -239,7 +239,7 @@ class TestOdeOracleAgreement:
         sol = oracle.integrate_riccati(table_params, table_params.horizon,
                                        10_000)
         errors = oracle.compare_with_closed_form(sol, table_params)
-        assert max(errors.values()) <= 1e-5, errors
+        assert max(errors.values()) <= oracle.ODE_RTOL, errors
 
     @pytest.mark.parametrize("which", ["positive", "negative"])
     def test_jump_system(self, sim_params_eta200, jumps_positive,

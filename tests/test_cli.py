@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import warnings
 
 import pytest
 
@@ -153,9 +154,9 @@ class TestVerify:
 
     @pytest.mark.parametrize("gamma", [0.05, 0.03, 0.0098])
     def test_moderately_stiff_config_passes(self, gamma, tmp_path):
-        """Stiffness ratios 1.8e3 to 9.0e3, just under the relaxed
-        tolerance: the RK4 oracle must still meet 1e-8 on a correct closed
-        form (a linear-time grid missed it by up to 7e-3)."""
+        """Stiffness ratios 1.8e3 to 9.0e3: the RK4 oracle must meet 1e-8
+        on a correct closed form (a linear-time grid missed it by up to
+        7e-3)."""
         config = edited_preset(tmp_path / "stiff.json", "sim-nojump",
                                lambda p: p.update(gamma=gamma))
         out = tmp_path / "report"
@@ -362,6 +363,56 @@ class TestOverflowingValue:
         assert not any(tmp_path.iterdir())
 
 
+class TestOverflowingBound:
+    """A terminal spread or error bound that overflows float64 is refused
+    by the report types: exit 1 with an ``error:`` line and no numpy
+    warning; a huge z in the tail of psi is 0, quietly."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--y0", "1e308"], "terminal spread overflows"),
+        (["--d0=-1e200"], "error bound overflows"),
+        (["--config", "sim-jump-neg", "--d0=-1e200"], "error bound overflows"),
+        (["--config", "sim-delay", "--y0", "1e308"],
+         "terminal spread overflows"),
+    ])
+    def test_errorbound_exits_1(self, argv, message, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["errorbound", *argv]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("error:") and message in err
+        assert "Traceback" not in err and out == ""
+        assert caught == []
+
+    @pytest.mark.parametrize("argv", [
+        ["errorbound", "--config", "sim-jump-neg", "--y0", "1e300"],
+        ["delay", "--d0", "1e150"],
+    ])
+    def test_tail_overflow_is_quiet(self, argv, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(argv) == 0
+        assert "error bound: 0 EUR" in capsys.readouterr().out
+        assert caught == []
+
+
+class TestNegativeExponent:
+    """argparse's private ``_negative_number_matcher`` reads only ``-123``
+    and ``-1.5`` as numbers; the CLI's parser widens it to exponents."""
+
+    @pytest.mark.parametrize("argv", [
+        ["errorbound", "--d0", "-5e4"],
+        ["errorbound", "--x0", "-1E3"],
+        ["delay", "--y0", "-2.5e1"],
+    ])
+    def test_same_bytes_as_the_equals_form(self, argv, capsys):
+        *head, option, value = argv
+        assert run([*head, f"{option}={value}"]) == 0
+        expected = capsys.readouterr().out
+        assert run(argv) == 0
+        assert capsys.readouterr().out == expected
+
+
 class TestOversizedJumpDraws:
     """1e12 jumps per day would be drawn path by path until the memory ran
     out; both commands that simulate refuse them before anything runs."""
@@ -433,6 +484,19 @@ class TestConfigHandling:
         bad.write_text("{broken")
         assert run(["tables", "--config", str(bad),
                     "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("command", ["simulate", "errorbound", "delay",
+                                         "verify"])
+    def test_jumps_with_delay_exit_1(self, command, tmp_path, monkeypatch,
+                                     capsys):
+        """No command models delayed production under jumps; each used to
+        drop half of such a config silently."""
+        config = edited_preset(tmp_path / "both.json", "sim-jump-neg",
+                               lambda p: p.update(delay_hours=4))
+        monkeypatch.chdir(tmp_path)  # the default --out is ./out
+        assert run([command, "--config", config]) == 1
+        assert "not both" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_io_error_exit_code(self, tmp_path):
         blocker = tmp_path / "not-a-directory"

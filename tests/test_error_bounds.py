@@ -1,17 +1,20 @@
 """Unit and property tests for psi, spread moments and error bounds."""
 
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
-from intraday import closed_form, error_bounds, oracle
+from intraday import closed_form, delay, error_bounds, oracle
 from intraday.model import (
     DAY,
     HOUR,
     JumpParams,
+    MarketState,
     ModelParams,
     reduced_cost_coefficient,
 )
@@ -94,6 +97,44 @@ class TestPsi:
         out = error_bounds.psi(np.array([0.0, 1.0, 30.0]))
         assert out.shape == (3,)
 
+    @pytest.mark.parametrize("name, digests", [
+        ("psi", (
+            "e1222c1b811c857244d412b58d99e4f70703727be03619373ea8f6bf11a68300",
+            "df8f28cba5ff0f9ee294bd20594b4f8e96f85ab3b4153f292730433adf1f3265")),
+        ("psi_tilde", (
+            "1842d503fb25172d9c6f6f9c75775b889f5f30fa816aa7848b4bd058594f4cb4",
+        ) * 2),
+        ("log_psi", (
+            "4720f332b2c46291a5b4904bba38491d7a675f7eb51eec7418c91dac083a9fb4",
+        ) * 2),
+    ])
+    def test_golden_bits(self, name, digests):
+        """sha256 of an array call and of scalar calls on both sides of
+        the tail switch and up to z = 1e305.  A scalar keeps numpy's
+        scalar arithmetic, which in psi's tail differs from the array
+        loops by an ulp at some z, hence two psi digests."""
+        z = np.concatenate([np.linspace(-40.0, 60.0, 2001),
+                            10.0 ** np.arange(2.0, 308.0, 3.0)])
+        f = getattr(error_bounds, name)
+        scalars = np.array([f(float(v)) for v in z])
+        assert (hashlib.sha256(f(z).tobytes()).hexdigest(),
+                hashlib.sha256(scalars.tobytes()).hexdigest()) == digests
+
+    def test_huge_z_is_quiet(self):
+        """Each branch is evaluated only on its own side of the switch,
+        and the tail's z**3 overflows to inf without a warning."""
+        z = np.array([-1e200, 1.0, 30.0, 1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = error_bounds.psi(z)
+            assert out[0] == math.inf and out[-1] == 0.0
+            assert out[1] == error_bounds.psi(1.0)
+            assert error_bounds.psi(1e300) == 0.0
+            assert error_bounds.psi_tilde(1e300) == 0.0
+            assert error_bounds.psi_tilde(z)[-1] == 0.0
+            assert error_bounds.log_psi(1e300) == -math.inf
+            assert error_bounds.log_psi(z)[-1] == -math.inf
+
 
 class TestSpreadMoments:
     @given(tau=st.floats(0.0, 48 * HOUR), d=st.floats(-1e5, 1e6),
@@ -149,6 +190,19 @@ class TestSpreadMoments:
     def test_negative_variance_rejected(self):
         with pytest.raises(ValueError):
             error_bounds.SpreadMoments(mean=0.0, variance=-1.0)
+
+    @pytest.mark.parametrize("mean, variance", [
+        (math.inf, 1.0), (-math.inf, 1.0), (math.nan, 1.0), (0.0, math.inf),
+        (0.0, math.nan)])
+    def test_non_finite_moments_rejected(self, mean, variance):
+        with pytest.raises(ValueError, match="overflows float64"):
+            error_bounds.SpreadMoments(mean=mean, variance=variance)
+
+    @pytest.mark.parametrize("bound", [math.inf, math.nan])
+    def test_non_finite_bound_rejected(self, bound):
+        moments = error_bounds.SpreadMoments(mean=0.0, variance=1.0)
+        with pytest.raises(ValueError, match="error bound overflows"):
+            error_bounds.ErrorBoundReport(bound, 0.5, moments)
 
 
 class TestErrorBound:
@@ -254,6 +308,28 @@ class TestJumpBound:
                                          sim_params_eta200)
         # negative jumps can only worsen the shortfall risk
         assert rep1.bound > plain.bound
+
+    @pytest.mark.parametrize("spread, y, message", [
+        (50_000.0, 1e308, "terminal spread overflows"),
+        (-1e200, 50.0, "error bound overflows"),
+    ])
+    def test_overflow_rejected(self, sim_params_eta200, jumps_negative,
+                               spread, y, message):
+        """A non-finite mean or bound is refused by the report types, for
+        every bound that builds one, without a numpy warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bound in (
+                    lambda: error_bounds.error_bound(
+                        24 * HOUR, spread, y, sim_params_eta200),
+                    lambda: error_bounds.error_bound_jump(
+                        24 * HOUR, spread, y, sim_params_eta200,
+                        jumps_negative),
+                    lambda: delay.error_bound_delay(
+                        MarketState(t=0.0, x=0.0, y=y, d=spread),
+                        sim_params_eta200, 4 * HOUR)):
+                with pytest.raises(ValueError, match=message):
+                    bound()
 
     def test_oversized_jump_draw_rejected(self, sim_params_eta200):
         """1e9 jumps a day would need terabytes of jump times per chunk on

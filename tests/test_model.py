@@ -185,18 +185,27 @@ BASE_CONFIG = {
     "mu": 0.0, "nu": 4e-5, "gamma": 2.22, "rho": 0.8, "horizon_hours": 24,
 }
 
+#: The jump block of sim-jump-neg.
+JUMP_BLOCK = {"lambda_per_day": 1.5, "p_plus": 0.3, "delta_plus": 1500,
+              "delta_minus": -1500, "pi_plus": 10, "pi_minus": -10}
+
 
 class TestLoadParamFile:
     def test_round_trip_units(self, tmp_path):
-        payload = dict(BASE_CONFIG)
-        payload["jump"] = {"lambda_per_day": 1.5, "p_plus": 0.3,
-                           "delta_plus": 1500, "delta_minus": -1500,
-                           "pi_plus": 10, "pi_minus": -10}
-        payload["delay_hours"] = 4
-        params, jumps, delay = load_param_file(write_config(tmp_path, payload))
+        params, jumps, _ = load_param_file(write_config(
+            tmp_path, dict(BASE_CONFIG, jump=JUMP_BLOCK), "jump.json"))
         assert params.horizon == 24 * HOUR
         assert jumps.lam == pytest.approx(1.5 / DAY)
+        _, _, delay = load_param_file(write_config(
+            tmp_path, dict(BASE_CONFIG, delay_hours=4), "delay.json"))
         assert delay == 4 * HOUR
+
+    def test_jumps_with_delay_rejected(self, tmp_path):
+        """No command models delayed production under jumps, so a config
+        that holds both is refused rather than half read."""
+        payload = dict(BASE_CONFIG, jump=JUMP_BLOCK, delay_hours=4)
+        with pytest.raises(ValueError, match="not both"):
+            load_param_file(write_config(tmp_path, payload))
 
     def test_plain_config(self, tmp_path):
         params, jumps, delay = load_param_file(
@@ -260,7 +269,8 @@ class TestLoadParamFile:
 
 
 #: Float hex of every field that load_param_file returns for the bundled
-#: presets and a jump + delay file: sim-jump-neg's values and the variations.
+#: presets and the jump and delay files: sim-jump-neg's values and the
+#: variations.
 SIM_HEX = dict(sigma0="0x1.1111111111111p-6", sigma_d="0x1.0aaaaaaaaaaabp+4",
                beta="0x1.0624dd2f1a9fcp-9", eta="0x1.9000000000000p+7",
                mu="0x0.0p+0", nu="0x1.4f8b588e368f1p-15",
@@ -301,12 +311,12 @@ class TestGoldenLoad:
         assert float_hex(loaded) == GOLDEN_PRESETS[name]
 
     def test_round_trip_file(self, tmp_path):
-        payload = dict(BASE_CONFIG, delay_hours=4)
-        payload["jump"] = {"lambda_per_day": 1.5, "p_plus": 0.3,
-                           "delta_plus": 1500, "delta_minus": -1500,
-                           "pi_plus": 10, "pi_minus": -10}
-        loaded = load_param_file(write_config(tmp_path, payload))
-        assert float_hex(loaded) == (ETA100_HEX, JUMP_HEX, DELAY_HEX)
+        loaded = load_param_file(write_config(
+            tmp_path, dict(BASE_CONFIG, jump=JUMP_BLOCK), "jump.json"))
+        assert float_hex(loaded) == (ETA100_HEX, JUMP_HEX, None)
+        loaded = load_param_file(write_config(
+            tmp_path, dict(BASE_CONFIG, delay_hours=4), "delay.json"))
+        assert float_hex(loaded) == (ETA100_HEX, None, DELAY_HEX)
 
 
 class TestPresets:
