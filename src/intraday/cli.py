@@ -95,9 +95,6 @@ def _table_row(params, tau: float, d0: float, y0: float):
 
 def cmd_tables(args) -> int:
     params, _, _ = load_param_file(resolve_config(args.config, "table13"))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     specs = [
         ("table1.csv", "T_hours",
          [(f"{t:g}",) + _table_row(params, t * HOUR, DEFAULT_D0, DEFAULT_Y0)
@@ -109,6 +106,8 @@ def cmd_tables(args) -> int:
          [(f"{y0:g}",) + _table_row(params, 24 * HOUR, DEFAULT_D0, y0)
           for y0 in (500.0, 50.0, 40.0, 30.0, 20.0)]),
     ]
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     for filename, label, rows in specs:
         path = out / filename
         with path.open("w", newline="") as handle:
@@ -180,7 +179,7 @@ def cmd_errorbound(args) -> int:
     else:  # without jumps this is the closed-form no-jump bound
         report = error_bounds.error_bound_jump(
             tau, state.spread, state.y, params, jumps, seed=args.seed)
-        kind = "no-jump" if jumps is None or jumps.lam == 0.0 else "jump"
+        kind = "no-jump" if jumps is None else "jump"
     print(f"model: {kind}")
     print(f"error bound: {report.bound:.6g} EUR")
     if report.mc_stderr:
@@ -274,6 +273,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except ValueError as exc:  # json.JSONDecodeError included
         error, code = exc, 1
+    except OverflowError:  # a float power of a huge parameter
+        error, code = "a value overflows float64", 1
     except RuntimeError as exc:  # the oracle could not integrate the config
         error, code = exc, 2
     except OSError as exc:

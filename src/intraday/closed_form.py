@@ -142,7 +142,7 @@ def jump_riccati_coefficients(tau: float, params: ModelParams,
                               jumps: JumpParams | None) -> CoefficientSet:
     """Coefficients with G, H, K jump-corrected (A, B, F are unchanged)."""
     base = riccati_coefficients(tau, params)
-    if jumps is None or jumps.lam == 0.0:
+    if jumps is None:
         return base
 
     r = reduced_cost_coefficient(params)
@@ -196,7 +196,7 @@ def feedback_rate_jump(tau, spread, y, params: ModelParams,
     ``(spread + lam delta tau, y + lam pi tau / 2)`` plus
     ``lam pi tau / (4 gamma)``.
     """
-    if jumps is None or jumps.lam == 0.0:
+    if jumps is None:
         return feedback_rate(tau, spread, y, params)
     r = reduced_cost_coefficient(params)
     nu, gamma = params.nu, params.gamma
@@ -223,7 +223,7 @@ def expected_rate_turning_time(state: MarketState, params: ModelParams,
     may fall outside [0, T].  Returns the crossing time and a
     classification of the mean inventory trajectory.
     """
-    if jumps is None or jumps.lam == 0.0 or jumps.pi == 0.0:
+    if jumps is None or jumps.pi == 0.0:
         raise ValueError("turning time requires lam * pi != 0")
     tau = params.horizon - state.t
     q0 = feedback_rate_jump(tau, state.spread, state.y, params, jumps)

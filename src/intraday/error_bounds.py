@@ -227,9 +227,9 @@ def mean_spread_jump(tau, spread, y, params: ModelParams,
     """Mean terminal spread in the jump model, m_lambda.
 
     Equal to ``m`` at a jump-shifted price plus an explicit drift
-    correction; reduces to :func:`mean_spread` when lam = 0.
+    correction; reduces to :func:`mean_spread` when ``jumps`` is None.
     """
-    if jumps is None or jumps.lam == 0.0:
+    if jumps is None:
         return mean_spread(tau, spread, y, params)
     r = reduced_cost_coefficient(params)
     nu, gamma = params.nu, params.gamma
@@ -253,10 +253,10 @@ def error_bound_jump(tau, spread, y, params: ModelParams,
 
     The expectation over S is estimated from ``MC_SAMPLES`` (100 000)
     Monte Carlo draws keyed by ``seed`` (closed form when p- = 0 or
-    lam = 0, in which case the standard error is zero).
+    ``jumps`` is None, in which case the standard error is zero).
     """
     check_seed(seed)
-    if jumps is None or jumps.lam == 0.0:
+    if jumps is None:
         return error_bound(tau, spread, y, params)
     prefactor = _bound_prefactor(params)
     m_l = float(mean_spread_jump(tau, spread, y, params, jumps))

@@ -125,7 +125,9 @@ class JumpParams:
 
     A jump at time ``t`` moves the demand forecast by ``delta_plus`` or
     ``delta_minus`` and simultaneously the quoted price by ``pi_plus`` or
-    ``pi_minus``; positive jumps occur with probability ``p_plus``.
+    ``pi_minus``; positive jumps occur with probability ``p_plus``.  The
+    intensity ``lam`` is positive: ``None`` in place of a ``JumpParams`` is
+    the only encoding of a model without jumps.
     """
 
     lam: float              # jump intensity, s^-1
@@ -138,8 +140,9 @@ class JumpParams:
     def __post_init__(self) -> None:
         _check_finite(self, ("lam", "p_plus", "delta_plus", "delta_minus",
                              "pi_plus", "pi_minus"))
-        if self.lam < 0:
-            raise ValueError("jump intensity must be nonnegative")
+        if not self.lam > 0:
+            raise ValueError("jump intensity must be positive; for no jumps "
+                             "pass jumps=None or omit the jump block")
         if not 0.0 <= self.p_plus <= 1.0:
             raise ValueError("p_plus must lie in [0, 1]")
         if self.delta_plus < 0 or self.pi_plus < 0:
@@ -282,11 +285,11 @@ def load_param_file(path) -> tuple[ModelParams, JumpParams | None, float | None]
     """Load a flat JSON parameter file.
 
     Required keys: sigma0, sigma_d, beta, eta, mu, nu, gamma, rho,
-    horizon_hours.  Optional: a "jump" block with keys lambda_per_day,
-    p_plus, delta_plus, delta_minus, pi_plus, pi_minus, and a scalar
-    "delay_hours", but not both: no command models delayed production
-    under jumps.  ``beta`` may be JSON ``null`` (pure trader).  Unknown
-    keys raise ``ValueError``.
+    horizon_hours.  Optional: a "jump" block with keys lambda_per_day
+    (positive; a model without jumps omits the block), p_plus, delta_plus,
+    delta_minus, pi_plus, pi_minus, and a scalar "delay_hours", but not
+    both: no command models delayed production under jumps.  ``beta`` may
+    be JSON ``null`` (pure trader).  Unknown keys raise ``ValueError``.
 
     Returns
     -------

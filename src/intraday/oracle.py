@@ -63,8 +63,7 @@ def _rhs(params: ModelParams, jumps: JumpParams | None
     """
     mu, nu, gamma = params.mu, params.nu, params.gamma
     s0, sd, rho = params.sigma0, params.sigma_d, params.rho
-    jump = jumps is not None and jumps.lam > 0.0
-    if jump:
+    if jumps is not None:
         lam, delta, pi = jumps.lam, jumps.delta, jumps.pi
         pp, pm = jumps.p_plus, jumps.p_minus
         dp, dm = jumps.delta_plus, jumps.delta_minus
@@ -85,7 +84,7 @@ def _rhs(params: ModelParams, jumps: JumpParams | None
         dh = mu * f - c2 * u3 / (2.0 * gamma)
         dk = (mu * g + s0**2 * b + sd**2 * a + rho * s0 * sd * f
               - u3**2 / (4.0 * gamma))
-        if jump:
+        if jumps is not None:
             dg += lam * (2.0 * delta * a + pi * f)
             dh += lam * (2.0 * pi * b + delta * f)
             dk += lam * (m_dd * a + m_pp * b + m_dp * f + delta * g + pi * h)
@@ -275,7 +274,7 @@ def verification_report(params: ModelParams, jumps: JumpParams | None = None,
     errors = compare_with_closed_form(
         integrate_riccati(params, params.horizon), params)
     errors_j = errors  # without jumps the jump system is the same system
-    if jumps is not None and jumps.lam > 0.0:
+    if jumps is not None:
         sol_j = integrate_jump_riccati(params, jumps, params.horizon)
         errors_j = compare_with_closed_form(sol_j, params, jumps)
     for name, errs in (("riccati_ode", errors), ("jump_riccati_ode", errors_j)):

@@ -244,7 +244,7 @@ def _jump_events(paths: PathSet, rows: slice, recorded: list[int],
     a batch is merged once it holds more than ``n_steps`` draws, the most
     events one path can have.
     """
-    if jumps is None or jumps.lam == 0.0:
+    if jumps is None:
         return np.empty(0, np.int64), np.empty(0), np.empty(0)
     n, n_steps = rows.stop - rows.start, recorded[-1]
     record_pos = np.full(n_steps + 1, -1)
@@ -366,7 +366,7 @@ def check_grid(params: ModelParams, jumps: JumpParams | None, n_paths: int,
     n_steps = round(params.horizon / dt)
     if n_steps < 1 or abs(n_steps * dt - params.horizon) > 1e-6 * dt:
         raise ValueError("dt must divide the horizon")
-    if jumps is not None and jumps.lam > 0.0 and dt > MAX_JUMP_DT:
+    if jumps is not None and dt > MAX_JUMP_DT:
         raise ValueError(f"dt > {MAX_JUMP_DT:.0f} s misplaces jump times")
 
     if record_every is not None and record_every < 1:
@@ -467,7 +467,7 @@ def martingale_diagnostics(paths: PathSet, params: ModelParams,
     denom = float((centred**2).sum())
     slopes = paths.q[:, mask] @ centred / denom
     expected = 0.0
-    if jumps is not None and jumps.lam > 0.0:
+    if jumps is not None:
         expected = -jumps.lam * jumps.pi / (2.0 * params.gamma)
     stderr = float(slopes.std(ddof=1) / math.sqrt(slopes.size)) \
         if slopes.size > 1 else float("nan")

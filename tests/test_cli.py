@@ -188,19 +188,18 @@ class TestErrorBound:
         assert "model: jump" in out
         assert "mc stderr" in out
 
-    def test_zero_jump_intensity_is_the_no_jump_bound(self, tmp_path,
-                                                      capsys):
-        """A jump block with lambda_per_day = 0 adds nothing, so the output,
-        label included, is that of the same file without the block."""
+    @pytest.mark.parametrize("command", ["errorbound", "simulate", "verify"])
+    def test_zero_jump_intensity_is_refused(self, command, tmp_path,
+                                            monkeypatch, capsys):
+        """No jumps has one encoding: a config without the jump block."""
         zero = edited_preset(tmp_path / "zero.json", "sim-jump-neg",
                              lambda p: p["jump"].update(lambda_per_day=0))
-        plain = edited_preset(tmp_path / "plain.json", "sim-jump-neg",
-                              lambda p: p.pop("jump"))
-        assert run(["errorbound", "--config", zero]) == 0
-        with_block = capsys.readouterr().out
-        assert run(["errorbound", "--config", plain]) == 0
-        assert with_block == capsys.readouterr().out
-        assert "model: no-jump" in with_block
+        (tmp_path / "run").mkdir()
+        monkeypatch.chdir(tmp_path / "run")
+        assert run([command, "--config", zero]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("error:") and "omit the jump block" in err
+        assert out == "" and not any((tmp_path / "run").iterdir())
 
     def test_oversized_jump_draw_exits_1(self, tmp_path, capsys):
         config = edited_preset(
@@ -336,8 +335,28 @@ class TestOversizedGrid:
 
 
 class TestOverflowingValue:
-    """A state whose closed-form value overflows float64 is a validation
-    error: exit 1 with an ``error:`` line, nothing written."""
+    """A state or parameter whose closed-form value overflows float64 is a
+    validation error: exit 1 with an ``error:`` line, nothing written."""
+
+    @pytest.mark.parametrize("argv", [
+        ["errorbound"], ["tables", "--out", "tables"],
+        ["verify", "--paths", "2", "--out", "report"], ["delay"],
+    ], ids=lambda argv: argv[0])
+    def test_overflowing_parameter_exits_1(self, argv, tmp_path, monkeypatch,
+                                           capsys):
+        def edit(payload):
+            payload.update(sigma0=1e200)
+            if argv[0] == "delay":
+                payload.update(delay_hours=4)
+
+        config = edited_preset(tmp_path / "huge.json", "sim-nojump", edit)
+        (tmp_path / "run").mkdir()
+        monkeypatch.chdir(tmp_path / "run")
+        assert run([*argv, "--config", config]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("error:") and "overflows float64" in err
+        assert "Traceback" not in err and out == ""
+        assert not any((tmp_path / "run").iterdir())
 
     def test_verify_exits_1_before_the_oracle(self, tmp_path, monkeypatch,
                                               capsys):

@@ -213,9 +213,7 @@ class TestJumpCollapse:
     @settings(max_examples=60, deadline=None)
     def test_lam_zero_collapses(self, sim_params_eta200, tau, d, y):
         p = sim_params_eta200
-        none_jumps = JumpParams(lam=0.0, p_plus=0.5, delta_plus=1500.0,
-                                delta_minus=-1500.0, pi_plus=10.0,
-                                pi_minus=-10.0)
+        none_jumps = None
         t = p.horizon - tau
         state = MarketState(t=t, x=0.0, y=y, d=d)
         assert closed_form.value_aux_jump(state, p, none_jumps) == \

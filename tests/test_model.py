@@ -1,5 +1,6 @@
 """Unit tests for model primitives, production rules and parameter I/O."""
 
+import dataclasses
 import json
 import math
 
@@ -105,6 +106,14 @@ class TestValidation:
         base[field] = value
         with pytest.raises(ValueError):
             MarketState(**base)
+
+    def test_zero_intensity_rejected(self, jumps_negative):
+        """None is the only encoding of a model without jumps."""
+        with pytest.raises(ValueError, match="jumps=None"):
+            JumpParams(lam=0.0, p_plus=0.5, delta_plus=1500.0,
+                       delta_minus=-1500.0, pi_plus=10.0, pi_minus=-10.0)
+        with pytest.raises(ValueError, match="jumps=None"):
+            dataclasses.replace(jumps_negative, lam=0.0)
 
     def test_zero_size_jumps_allowed(self):
         jumps = JumpParams(lam=1.5 / DAY, p_plus=1.0, delta_plus=0.0,

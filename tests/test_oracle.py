@@ -281,8 +281,7 @@ class TestVerificationReport:
             dataclasses.replace(sim_params, beta=None))
         assert report["passed"], report
 
-    @pytest.mark.parametrize("lam, integrations", [(None, 1), (0.0, 1),
-                                                   (1.5 / DAY, 2)])
+    @pytest.mark.parametrize("lam, integrations", [(None, 1), (1.5 / DAY, 2)])
     def test_one_integration_per_distinct_system(self, sim_params, monkeypatch,
                                                  lam, integrations):
         """Without jumps the jump system is the no-jump system, so it is

@@ -317,10 +317,8 @@ class TestGoldenPaths:
         assert self._digest(paths) == (
             "240c2e677dc861c8399d4f22133f3e37cf68b47e80c5ea3f73ee335fc838ac72")
 
-    @pytest.mark.parametrize("lam", [0.0, None])
-    def test_no_jumps(self, jumps_negative, lam):
-        jumps = None if lam is None else replace(jumps_negative, lam=lam)
-        paths = self._run(jumps, 3, 7, d0=-0.0, y0=-0.0)
+    def test_no_jumps(self):
+        paths = self._run(None, 3, 7, d0=-0.0, y0=-0.0)
         assert not np.signbit(paths.y[:, 0]).any()
         assert self._digest(paths) == (
             "b75ba431c2539190c74561b46dc66ea0d5656e6b37954ce32b0efa0f4940dc65")
