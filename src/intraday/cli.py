@@ -7,11 +7,14 @@ tables      Emit the three benchmark tables (varying horizon, demand,
             --config --out
 simulate    Sample Euler trajectories under the optimal policy for a
             scenario (nojump | jump-positive | jump-negative | delay) and
-            write them as CSV.
+            write them as CSV.  A scenario names a bundled preset, so
+            --scenario and --config exclude each other.
             --config --scenario --seed --paths --dt --out --d0 --y0 --x0
-verify      Run the independent verification suite (ODE oracle, quadrature,
-            martingale and cost checks); nonzero exit on any failure.  The
-            simulated paths start with no inventory.
+verify      Run the independent verification suite (RK4 integration of the
+            config's own Riccati system, jump-corrected when it has jumps;
+            quadrature, martingale and cost checks); nonzero exit on any
+            failure.  It checks the model without delay and does not read
+            delay_hours.  The simulated paths start with no inventory.
             --config --seed --paths --dt --out --d0 --y0
 errorbound  Print the approximation-error bound and shortfall probability
             for a configured initial state.
@@ -121,6 +124,9 @@ def cmd_tables(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.scenario is not None and args.config is not None:
+        raise ValueError("--scenario selects a bundled preset; pass "
+                         "--scenario or --config, not both")
     default = SCENARIO_PRESETS.get(args.scenario)
     if args.scenario is not None and default is None:
         raise ValueError(f"unknown scenario {args.scenario!r}; expected one "

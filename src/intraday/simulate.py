@@ -51,6 +51,9 @@ _BLOCK = 64
 
 #: Streams per path in the counter-based RNG keying.
 _STREAM_W, _STREAM_W_PERP, _STREAM_JUMP_TIMES, _STREAM_JUMP_SIGNS = range(4)
+#: Stream of the equilibrium fuzz in ``oracle.verification_report``, keyed
+#: as path 0's; no path draws from stream ids 4 to 7.
+_STREAM_FUZZ = 4
 
 #: Coarsest grid allowed in the presence of jumps (jump placement error).
 MAX_JUMP_DT = 60.0

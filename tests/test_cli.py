@@ -61,6 +61,16 @@ class TestSimulate:
                     "--out", str(tmp_path)]) == 1
         assert "unknown scenario" in capsys.readouterr().err
 
+    def test_scenario_with_config_is_validation_error(self, tmp_path, capsys):
+        """A scenario names a bundled preset, so a config beside it would
+        be ignored: the pair is refused before anything is written."""
+        out = tmp_path / "out"
+        assert run(["simulate", "--scenario", "delay", "--config",
+                    "sim-jump-neg", "--paths", "2", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "not both" in err
+        assert not out.exists()
+
     def test_coarse_dt_with_jumps_is_validation_error(self, tmp_path):
         assert run(["simulate", "--scenario", "jump-positive", "--paths", "1",
                     "--dt", "3600", "--out", str(tmp_path)]) == 1
@@ -133,7 +143,7 @@ class TestVerify:
         def not_called(*args, **kwargs):
             raise AssertionError("the oracle ran before the path count check")
 
-        monkeypatch.setattr(oracle, "integrate_riccati", not_called)
+        monkeypatch.setattr(oracle, "_integrate", not_called)
         out = tmp_path / "report"
         assert run(["verify", "--paths", "1", "--out", str(out)]) == 1
         out_text, err = capsys.readouterr()
@@ -327,7 +337,7 @@ class TestOversizedGrid:
         def not_called(*args, **kwargs):
             raise AssertionError("the oracle ran before the grid check")
 
-        monkeypatch.setattr(oracle, "integrate_riccati", not_called)
+        monkeypatch.setattr(oracle, "_integrate", not_called)
         monkeypatch.chdir(tmp_path)
         assert run(["verify", *argv, "--out", "report"]) == 1
         assert message in capsys.readouterr().err
@@ -363,7 +373,7 @@ class TestOverflowingValue:
         def not_called(*args, **kwargs):
             raise AssertionError("the oracle ran before the value check")
 
-        monkeypatch.setattr(oracle, "integrate_riccati", not_called)
+        monkeypatch.setattr(oracle, "_integrate", not_called)
         monkeypatch.chdir(tmp_path)
         assert run(["verify", "--paths", "2", "--d0", "1e200",
                     "--out", "report"]) == 1
@@ -442,7 +452,7 @@ class TestOversizedJumpDraws:
         def not_called(*args, **kwargs):
             raise AssertionError("the oracle ran before the grid check")
 
-        monkeypatch.setattr(oracle, "integrate_riccati", not_called)
+        monkeypatch.setattr(oracle, "_integrate", not_called)
         config = edited_preset(
             tmp_path / "frequent.json", "sim-jump-neg",
             lambda p: p["jump"].update(lambda_per_day=1e12))

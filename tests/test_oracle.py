@@ -227,9 +227,9 @@ class TestVerificationReport:
         report = oracle.verification_report(sim_params, None, seed=0,
                                             n_paths=500, dt=60.0)
         assert report["passed"], report
-        expected_checks = {"riccati_ode", "jump_riccati_ode",
-                           "variance_quadrature", "forecast_equilibrium",
-                           "martingale_drift", "monte_carlo_cost"}
+        expected_checks = {"riccati_ode", "variance_quadrature",
+                           "forecast_equilibrium", "martingale_drift",
+                           "monte_carlo_cost"}
         assert set(report["checks"]) == expected_checks
 
     def test_report_detects_wrong_coefficients(self, sim_params, monkeypatch):
@@ -260,7 +260,7 @@ class TestVerificationReport:
         def not_called(*args, **kwargs):
             raise AssertionError("the oracle ran before the grid check")
 
-        monkeypatch.setattr(oracle, "integrate_riccati", not_called)
+        monkeypatch.setattr(oracle, "_integrate", not_called)
         jumps = jumps_negative if with_jumps else None
         with pytest.raises(ValueError, match=message):
             oracle.verification_report(sim_params, jumps, **grid)
@@ -271,8 +271,7 @@ class TestVerificationReport:
                            eta=100.0, mu=0.0, nu=4e-5, gamma=2.22, rho=0.8,
                            horizon=24 * HOUR)
         report = oracle.verification_report(pure, dt=float("nan"), n_paths=0)
-        assert set(report["checks"]) == {"riccati_ode", "jump_riccati_ode",
-                                         "variance_quadrature"}
+        assert set(report["checks"]) == {"riccati_ode", "variance_quadrature"}
 
     def test_pure_trader_passes(self, sim_params):
         """The variance integrand's boundary layer at tau = 0 is resolved
@@ -281,11 +280,13 @@ class TestVerificationReport:
             dataclasses.replace(sim_params, beta=None))
         assert report["passed"], report
 
-    @pytest.mark.parametrize("lam, integrations", [(None, 1), (1.5 / DAY, 2)])
+    @pytest.mark.parametrize("pure_trader", [False, True])
+    @pytest.mark.parametrize("lam", [None, 1.5 / DAY])
     def test_one_integration_per_distinct_system(self, sim_params, monkeypatch,
-                                                 lam, integrations):
-        """Without jumps the jump system is the no-jump system, so it is
-        integrated once and both ODE checks report that integration."""
+                                                 lam, pure_trader):
+        """The report integrates the config's own Riccati system once, the
+        jump-corrected one when there are jumps, and checks it as
+        ``riccati_ode``."""
         calls, integrate = [], oracle._integrate
 
         def counted(*args):
@@ -296,13 +297,50 @@ class TestVerificationReport:
         jumps = None if lam is None else JumpParams(
             lam=lam, p_plus=0.3, delta_plus=1500.0, delta_minus=-1500.0,
             pi_plus=10.0, pi_minus=-10.0)
-        report = oracle.verification_report(
-            dataclasses.replace(sim_params, beta=None), jumps)
-        assert len(calls) == integrations
-        checks = report["checks"]
-        assert list(checks["riccati_ode"]) == list(checks["jump_riccati_ode"])
-        if integrations == 1:
-            assert checks["riccati_ode"] == checks["jump_riccati_ode"]
+        params = (dataclasses.replace(sim_params, beta=None) if pure_trader
+                  else sim_params)
+        report = oracle.verification_report(params, jumps, n_paths=2)
+        assert len(calls) == 1
+        assert calls[0][:2] == (params, jumps)
+        assert report["checks"]["riccati_ode"]["passed"]
+
+    @pytest.mark.parametrize("name, mu", [
+        ("a", 0.0), ("b", 0.0), ("f", 0.0), ("k", 0.0),
+        ("g", 0.01), ("h", 0.01),  # G = H = 0 at mu = 0
+    ])
+    def test_jump_check_detects_wrong_no_jump_coefficients(
+            self, sim_params_eta200, jumps_negative, monkeypatch, name, mu):
+        """The jump system's check also covers the no-jump closed form that
+        the jump coefficients are built on: a 1 % error in any coefficient
+        of ``riccati_coefficients`` fails ``riccati_ode``."""
+        original = closed_form.riccati_coefficients
+
+        def tampered(tau, params):
+            c = original(tau, params)
+            return dataclasses.replace(c, **{name: getattr(c, name) * 1.01})
+
+        monkeypatch.setattr(closed_form, "riccati_coefficients", tampered)
+        params = dataclasses.replace(sim_params_eta200, mu=mu, beta=None)
+        report = oracle.verification_report(params, jumps_negative)
+        check = report["checks"]["riccati_ode"]
+        assert not check["passed"]
+        assert check["per_coefficient"][name] > 1e-4
+
+    def test_rng_keys_are_distinct(self, sim_params, jumps_negative,
+                                   monkeypatch):
+        """The equilibrium fuzz draws from a stream that no path uses."""
+        keys, philox = [], np.random.Philox
+
+        def recorded(seed=None, counter=None, key=None):
+            words = seed.key if key is None else key
+            keys.append(tuple(int(w) for w in words))
+            return philox(seed, counter, key)
+
+        monkeypatch.setattr(np.random, "Philox", recorded)
+        oracle.verification_report(sim_params, jumps_negative, seed=7,
+                                   n_paths=3)
+        assert len(keys) == 13  # 4 streams for each of 3 paths, 1 fuzz
+        assert len(set(keys)) == len(keys)
 
     def test_format_report_mentions_status(self, sim_params):
         report = {"passed": True,
