@@ -14,6 +14,11 @@ numerically stable evaluation of psi (including far tails and log-domain
 values for asymptotic-rate checks), the closed-form variance integral via
 partial fractions, the jump-model extensions, and the limiting exponential
 rate constants.
+
+Phi(-z) is ``scipy.special.ndtr(-z)`` and phi(z) is
+``exp(-z**2 / 2) / sqrt(2 pi)`` on a numpy value: the bodies of
+``scipy.stats.norm.sf`` and ``.pdf`` without their per-call dispatch, so
+every value keeps the bits those would give.
 """
 
 from __future__ import annotations
@@ -22,7 +27,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+import scipy.stats  # noqa: F401  kept: bench/run.py reports its import time
+from scipy.special import ndtr
 
 from .model import (JumpParams, ModelParams, check_memory, check_seed,
                     reduced_cost_coefficient)
@@ -40,6 +46,7 @@ _PSI_TAIL = (1.0, -6.0, 45.0, -420.0, 4725.0, -62370.0)
 _PSI_TILDE_TAIL = (1.0, -3.0, 15.0, -105.0, 945.0, -10395.0)
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 #: Monte Carlo draws of the negative-jump sum in :func:`error_bound_jump`.
 MC_SAMPLES = 100_000
@@ -83,10 +90,25 @@ def _tail_series(z, coefficients):
     return total
 
 
+def _norm_sf(z):
+    """Phi(-z), the standard normal upper tail."""
+    return ndtr(-z)
+
+
+def _norm_pdf(z):
+    """phi(z), the standard normal density.  Squared as a numpy array: a
+    Python or numpy scalar's ``**2`` goes through ``pow`` and misses the
+    array square by an ulp for about 1 value in 1000."""
+    z = np.asarray(z)
+    return np.exp(-z**2 / 2.0) / _SQRT_2PI
+
+
 def _split(z, direct, tail):
     """``direct`` below ``_TAIL_Z`` and ``tail`` from it on, each evaluated
     only on its own side; the tail's z**3 overflows to inf quietly.  A
-    scalar keeps numpy's scalar arithmetic, an ulp off the array loops."""
+    scalar keeps numpy's scalar arithmetic, an ulp off the array loops;
+    Phi(-z) is ``ndtr(-z)`` and phi is evaluated as a numpy array on
+    either side."""
     z = np.asarray(z, dtype=float)
     with np.errstate(over="ignore", divide="ignore"):  # divide: log(0)
         if z.ndim == 0:
@@ -100,15 +122,15 @@ def _split(z, direct, tail):
 def psi(z):
     """psi(z) = (z^2 + 1) Phi(-z) - z phi(z); nonnegative and decreasing."""
     return _split(
-        z, lambda z: (z**2 + 1.0) * norm.sf(z) - z * norm.pdf(z),
-        lambda z: norm.pdf(z) * 2.0 / z**3 * _tail_series(z, _PSI_TAIL))
+        z, lambda z: (z**2 + 1.0) * _norm_sf(z) - z * _norm_pdf(z),
+        lambda z: _norm_pdf(z) * 2.0 / z**3 * _tail_series(z, _PSI_TAIL))
 
 
 def log_psi(z):
     """Natural log of psi(z), valid far beyond the underflow point of psi."""
     return _split(
         z, lambda z: np.log(np.maximum(
-            (z**2 + 1.0) * norm.sf(z) - z * norm.pdf(z), 0.0)),
+            (z**2 + 1.0) * _norm_sf(z) - z * _norm_pdf(z), 0.0)),
         lambda z: (-0.5 * z**2 - _LOG_SQRT_2PI
                    + np.log(2.0 / z**3 * _tail_series(z, _PSI_TAIL))))
 
@@ -116,8 +138,8 @@ def log_psi(z):
 def psi_tilde(z):
     """psi_tilde(z) = phi(z) - z Phi(-z); nonnegative for all z."""
     return _split(
-        z, lambda z: norm.pdf(z) - z * norm.sf(z),
-        lambda z: norm.pdf(z) / z**2 * _tail_series(z, _PSI_TILDE_TAIL))
+        z, lambda z: _norm_pdf(z) - z * _norm_sf(z),
+        lambda z: _norm_pdf(z) / z**2 * _tail_series(z, _PSI_TILDE_TAIL))
 
 
 def mean_spread(tau, spread, y, params: ModelParams):
@@ -172,7 +194,7 @@ def _report(m: float, v: float, prefactor: float) -> ErrorBoundReport:
         prob = 1.0 if m < 0 else (0.5 if m == 0 else 0.0)
         return ErrorBoundReport(0.0, prob, moments)
     z = m / math.sqrt(v)
-    return ErrorBoundReport(float(prefactor * v * psi(z)), float(norm.sf(z)),
+    return ErrorBoundReport(float(prefactor * v * psi(z)), float(_norm_sf(z)),
                             moments)
 
 
@@ -289,7 +311,7 @@ def error_bound_jump(tau, spread, y, params: ModelParams,
         np.add.at(sums, np.repeat(np.arange(size), counts), terms)
         z = (m_l + sums) / sqrt_v
         bounds[start:start + size] = prefactor * v * psi(z)
-        probs[start:start + size] = norm.sf(z)
+        probs[start:start + size] = _norm_sf(z)
     with np.errstate(invalid="ignore"):  # inf - inf: the report refuses inf
         stderr = float(bounds.std(ddof=1) / math.sqrt(MC_SAMPLES))
     return ErrorBoundReport(float(bounds.mean()), float(probs.mean()),

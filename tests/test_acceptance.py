@@ -13,6 +13,7 @@ import math
 import time
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -109,7 +110,10 @@ TABLE_CELLS = [
     _cell("table1.csv", "50", VAL, 1.90e6),
     _cell("table1.csv", "50", BND, 2.48e-4,
           bad="computed bound 3.51e-5 vs reference 2.48e-4; closed form "
-              "confirmed against quadrature to 1e-11"),
+              "confirmed against quadrature to 1e-11. The reference "
+              "follows from the reference probability 7.72e-13, whose "
+              "implied error in P is +3.3e-15 (30 spacings of doubles "
+              "below 1) at z = 7.07"),
     # table 2: varying initial demand, T = 24h, Y0 = 50
     _cell("table2.csv", "500", PROB, _SUB),
     _cell("table2.csv", "500", VAL, -5.86e5,
@@ -136,12 +140,15 @@ TABLE_CELLS = [
     _cell("table3.csv", "50", VAL, 1.89e6),
     _cell("table3.csv", "50", BND, 4.16e-12, bad=_BAD_BOUND_416),
     _cell("table3.csv", "40", PROB, 9.51e-15,
-          bad="computed probability 1.61e-16 vs reference 9.51e-15 "
-              "(reference noise at z ~ 8.1)"),
+          bad="computed probability 1.61e-16 vs reference 9.51e-15 at "
+              "z = 8.16: implied error in P +9.35e-15 (84 spacings of "
+              "doubles below 1), as from Phi(-z) taken as 1 - Phi(z)"),
     _cell("table3.csv", "40", VAL, 1.61e6),
     _cell("table3.csv", "40", BND, 3.80e-4,
           bad="computed bound 2.70e-9 vs reference 3.80e-4; closed form "
-              "confirmed against quadrature"),
+              "confirmed against quadrature. The reference follows from "
+              "the reference probability 9.51e-15, whose implied error in "
+              "P is +9.35e-15"),
     _cell("table3.csv", "30", PROB, 4.57e-10),
     _cell("table3.csv", "30", VAL, 1.29e6),
     _cell("table3.csv", "30", BND, 1.30e-2),
@@ -166,6 +173,37 @@ class TestBenchmarkTables:
 
     def test_runtime_under_one_second(self, table_dir):
         assert RUNTIMES["tables"] < 1.0
+
+    @pytest.mark.parametrize("hours, y0, prob, bound", [
+        (50, Y0, "7.72e-13", "2.48e-4"),
+        (24, 40.0, "9.51e-15", "3.80e-4"),
+    ])
+    def test_printed_bound_follows_from_printed_probability(
+            self, table_params, hours, y0, prob, bound):
+        """Two printed bounds the closed form does not give follow from
+        the printed shortfall probability P: the bound formula
+        prefactor V ((z^2 + 1) P - z phi(z)), evaluated in 50 digits on
+        P's rounding interval, covers part of the bound's rounding
+        interval.  The float m and V are off by about 1e-16, which moves
+        the image far less than its width."""
+        tau = hours * HOUR
+        m = error_bounds.mean_spread(tau, D0, y0, table_params)
+        v = error_bounds.variance_spread(tau, table_params)
+        r = reduced_cost_coefficient(table_params)
+
+        def rounding_interval(printed):
+            x = mpmath.mpf(printed)
+            half = mpmath.mpf(10) ** (mpmath.floor(mpmath.log10(x)) - 2) / 2
+            return x - half, x + half
+
+        with mpmath.workdps(50):
+            z = mpmath.mpf(m) / mpmath.sqrt(v)
+            scale = (mpmath.mpf(table_params.eta) * r
+                     / (2 * mpmath.mpf(table_params.beta)) * v)
+            image = [scale * ((z**2 + 1) * p - z * mpmath.npdf(z))
+                     for p in rounding_interval(prob)]
+            low, high = rounding_interval(bound)
+            assert image[0] <= high and low <= image[1], (image, low, high)
 
 
 # ---------------------------------------------------------------------------
@@ -388,9 +426,9 @@ class TestErrorBoundConsistency:
 
     @pytest.mark.xfail(strict=True, reason=(
         "reference jump bound 2.66e-5 EUR not reproducible: the closed form "
-        "gives 8.55e-11 (z ~ 8.6); the reference's own bound and probability "
-        "imply mutually inconsistent z values (6.1 vs 8.1), placing both in "
-        "the cancellation-noise regime of psi"))
+        "gives 8.55e-11 (z = 8.58); the reference implies an error in P of "
+        "+5.0e-16 (4.5 spacings of doubles below 1), as from Phi(-z) taken "
+        "as 1 - Phi(z)"))
     def test_reference_jump_bound(self, sim_params_eta200):
         jumps = JumpParams(lam=1.5 / DAY, p_plus=1.0, delta_plus=1500.0,
                            delta_minus=0.0, pi_plus=10.0, pi_minus=0.0)

@@ -136,6 +136,59 @@ class TestPsi:
             assert error_bounds.log_psi(z)[-1] == -math.inf
 
 
+class TestNormalFunctions:
+    """Phi(-z) and phi(z) come from ``ndtr`` and an explicit exp, with the
+    bits of ``scipy.stats.norm.sf``/``.pdf`` and without calling them."""
+
+    Z = np.concatenate([np.linspace(-40.0, 60.0, 2001),
+                        np.random.default_rng(0).uniform(-40.0, 60.0, 4000),
+                        np.random.default_rng(1).uniform(26.0, 40.0, 1000),
+                        [0.0, -0.0, math.inf, -math.inf, math.nan]])
+
+    def test_arrays_equal_scipy_stats(self):
+        np.testing.assert_array_equal(error_bounds._norm_sf(self.Z),
+                                      norm.sf(self.Z), strict=True)
+        np.testing.assert_array_equal(error_bounds._norm_pdf(self.Z),
+                                      norm.pdf(self.Z), strict=True)
+
+    def test_scalars_equal_scipy_stats(self):
+        """0-d arrays, numpy floats and Python floats alike: a scalar's
+        ``**2`` would miss the array square by an ulp at some z."""
+        for v in self.Z[~np.isnan(self.Z)]:
+            sf, pdf = norm.sf(np.asarray(v)), norm.pdf(np.asarray(v))
+            for z in (np.asarray(v), v, float(v)):
+                assert error_bounds._norm_sf(z) == sf, z
+                assert error_bounds._norm_pdf(z) == pdf, z
+
+    @pytest.mark.parametrize("y", [20.0, 30.0, 35.0, 40.0, 50.0])
+    def test_shortfall_probability_equals_scipy_stats(self, table_params, y):
+        rep = error_bounds.error_bound(24 * HOUR, 50_000.0, y, table_params)
+        z = rep.moments.mean / math.sqrt(rep.moments.variance)
+        assert rep.shortfall_probability == float(norm.sf(z))
+
+    def test_bounds_do_not_call_scipy_stats(self, monkeypatch, tmp_path,
+                                            capsys, sim_params_eta200,
+                                            jumps_negative):
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy.stats.norm called")
+
+        monkeypatch.setattr(norm, "sf", refuse)
+        monkeypatch.setattr(norm, "pdf", refuse)
+        params = sim_params_eta200
+        state = MarketState(t=0.0, x=0.0, y=50.0, d=50_000.0)
+        error_bounds.error_bound(24 * HOUR, 50_000.0, 30.0, params)
+        error_bounds.log_error_bound(24 * HOUR, 50_000.0, 30.0, params)
+        error_bounds.psi_tilde(np.array([-1.0, 1.0, 30.0]))
+        error_bounds.error_bound_jump(24 * HOUR, 50_000.0, 50.0, params,
+                                      jumps_negative)
+        delay.error_bound_delay(state, params, 4 * HOUR)
+        delay.post_decision_mean_rate(state, params, 4 * HOUR)
+        assert cli.main(["tables", "--out", str(tmp_path)]) == 0
+        assert cli.main(["errorbound", "--config", "sim-jump-neg"]) == 0
+        assert cli.main(["delay"]) == 0
+        capsys.readouterr()
+
+
 class TestSpreadMoments:
     @given(tau=st.floats(0.0, 48 * HOUR), d=st.floats(-1e5, 1e6),
            y=st.floats(-200.0, 1000.0))
