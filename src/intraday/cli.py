@@ -68,13 +68,14 @@ _TINY = 1e-16
 
 
 def resolve_config(name_or_path: str | None, default: str) -> Path:
-    """Map a preset name or filesystem path to a parameter file path."""
-    name = name_or_path or default
+    """Map a preset name or an existing non-directory path (a ``<(...)``
+    pipe too) to a parameter file path; ``None`` selects ``default``."""
+    name = default if name_or_path is None else name_or_path
     if name in PRESETS:
         return Path(str(resources.files("intraday").joinpath(
             f"presets/{name}.json")))
     path = Path(name)
-    if not path.exists():
+    if not path.exists() or path.is_dir():
         raise ValueError(f"config {name!r} is neither a bundled preset "
                          f"({', '.join(PRESETS)}) nor an existing file")
     return path

@@ -63,8 +63,8 @@ class ModelParams:
     sigma_d : float
         Demand-forecast volatility, MW * s^-1/2.
     beta : float or None
-        Marginal production cost slope, EUR * MW^-2.  ``None`` marks the
-        pure-trader limit (no production; formally beta -> infinity).
+        Marginal production cost slope, EUR * MW^-2, positive and finite.
+        ``None`` is the only encoding of the pure trader (no production).
     eta : float
         Terminal imbalance penalty, EUR * MW^-2.
     mu : float
@@ -90,14 +90,11 @@ class ModelParams:
     horizon: float
 
     def __post_init__(self) -> None:
-        # Normalise an explicit infinity into the pure-trader flag so that
-        # downstream arithmetic never sees a non-finite beta.
-        if self.beta == math.inf:
-            object.__setattr__(self, "beta", None)
         _check_finite(self, ("sigma0", "sigma_d", "eta", "mu", "nu", "gamma",
                              "rho", "horizon"))
-        if self.beta is not None and not self.beta > 0:
-            raise ValueError("beta must be positive (or None for pure trader)")
+        if self.beta is not None and not 0 < self.beta < math.inf:
+            raise ValueError("beta must be positive and finite (or None for "
+                             "pure trader)")
         if not self.gamma > 0:
             raise ValueError("gamma must be strictly positive")
         if not self.eta > 0:
@@ -115,7 +112,7 @@ class ModelParams:
 
     @property
     def pure_trader(self) -> bool:
-        """True when the agent has no production plant (beta = infinity)."""
+        """True when the agent has no production plant (``beta`` is None)."""
         return self.beta is None
 
 

@@ -94,8 +94,10 @@ def _rhs(params: ModelParams, jumps: JumpParams | None
     return rhs
 
 
-def _integrate(params: ModelParams, jumps: JumpParams | None, tau_max: float,
-               n_steps: int) -> OdeSolution:
+def integrate_jump_riccati(params: ModelParams, jumps: JumpParams | None,
+                           tau_max: float, n_steps: int = 10_000) -> OdeSolution:
+    """Integrate the jump-corrected Riccati system by classical RK4; with
+    ``jumps=None`` this is the no-jump system."""
     if tau_max <= 0:
         raise ValueError("tau_max must be positive")
     if n_steps < 1:
@@ -137,14 +139,7 @@ def _integrate(params: ModelParams, jumps: JumpParams | None, tau_max: float,
 def integrate_riccati(params: ModelParams, tau_max: float,
                       n_steps: int = 10_000) -> OdeSolution:
     """Integrate the no-jump Riccati system by classical RK4."""
-    return _integrate(params, None, tau_max, n_steps)
-
-
-def integrate_jump_riccati(params: ModelParams, jumps: JumpParams | None,
-                           tau_max: float, n_steps: int = 10_000) -> OdeSolution:
-    """Integrate the jump-corrected Riccati system by classical RK4; with
-    ``jumps=None`` this is the no-jump system."""
-    return _integrate(params, jumps, tau_max, n_steps)
+    return integrate_jump_riccati(params, None, tau_max, n_steps)
 
 
 def compare_with_closed_form(solution: OdeSolution, params: ModelParams,

@@ -269,13 +269,14 @@ class TestHeadlineValues:
 
 class TestOdeOracleAgreement:
     def test_plain_system(self, sim_params):
-        sol = oracle.integrate_riccati(sim_params, sim_params.horizon, 10_000)
+        sol = oracle.integrate_jump_riccati(sim_params, None,
+                                            sim_params.horizon, 10_000)
         errors = oracle.compare_with_closed_form(sol, sim_params)
         assert max(errors.values()) <= 1e-8, errors
 
     def test_plain_system_stiff_regime(self, table_params):
-        sol = oracle.integrate_riccati(table_params, table_params.horizon,
-                                       10_000)
+        sol = oracle.integrate_jump_riccati(table_params, None,
+                                            table_params.horizon, 10_000)
         errors = oracle.compare_with_closed_form(sol, table_params)
         assert max(errors.values()) <= oracle.ODE_RTOL, errors
 

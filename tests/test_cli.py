@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import os
 import warnings
 
 import pytest
@@ -143,7 +144,7 @@ class TestVerify:
         def not_called(*args, **kwargs):
             raise AssertionError("the oracle ran before the path count check")
 
-        monkeypatch.setattr(oracle, "_integrate", not_called)
+        monkeypatch.setattr(oracle, "integrate_jump_riccati", not_called)
         out = tmp_path / "report"
         assert run(["verify", "--paths", "1", "--out", str(out)]) == 1
         out_text, err = capsys.readouterr()
@@ -291,6 +292,14 @@ class TestNonFiniteInput:
         assert run(["errorbound", "--config", str(bad)]) == 1
         assert "mu must be finite" in capsys.readouterr().err
 
+    def test_infinite_beta_in_config_is_validation_error(self, tmp_path,
+                                                         capsys):
+        """A pure trader's beta is null; Infinity is not a second spelling."""
+        config = edited_preset(tmp_path / "inf.json", "sim-nojump",
+                               lambda p: p.update(beta=float("inf")))
+        assert run(["errorbound", "--config", config]) == 1
+        assert "beta must be positive and finite" in capsys.readouterr().err
+
 
 class TestSeedRange:
     """Seeds key an unsigned 64-bit Philox generator."""
@@ -337,7 +346,7 @@ class TestOversizedGrid:
         def not_called(*args, **kwargs):
             raise AssertionError("the oracle ran before the grid check")
 
-        monkeypatch.setattr(oracle, "_integrate", not_called)
+        monkeypatch.setattr(oracle, "integrate_jump_riccati", not_called)
         monkeypatch.chdir(tmp_path)
         assert run(["verify", *argv, "--out", "report"]) == 1
         assert message in capsys.readouterr().err
@@ -373,7 +382,7 @@ class TestOverflowingValue:
         def not_called(*args, **kwargs):
             raise AssertionError("the oracle ran before the value check")
 
-        monkeypatch.setattr(oracle, "_integrate", not_called)
+        monkeypatch.setattr(oracle, "integrate_jump_riccati", not_called)
         monkeypatch.chdir(tmp_path)
         assert run(["verify", "--paths", "2", "--d0", "1e200",
                     "--out", "report"]) == 1
@@ -452,7 +461,7 @@ class TestOversizedJumpDraws:
         def not_called(*args, **kwargs):
             raise AssertionError("the oracle ran before the grid check")
 
-        monkeypatch.setattr(oracle, "_integrate", not_called)
+        monkeypatch.setattr(oracle, "integrate_jump_riccati", not_called)
         config = edited_preset(
             tmp_path / "frequent.json", "sim-jump-neg",
             lambda p: p["jump"].update(lambda_per_day=1e12))
@@ -497,6 +506,27 @@ class TestConfigHandling:
     def test_unknown_config_name(self, capsys):
         assert run(["tables", "--config", "no-such-preset"]) == 1
         assert "neither a bundled preset" in capsys.readouterr().err
+
+    def test_empty_or_directory_config_refused(self, tmp_path, capsys):
+        """An empty name is not absent (it used to select the default
+        preset), and a directory exited 3 with a raw OSError."""
+        for config in ("", str(tmp_path)):
+            assert run(["errorbound", "--config", config]) == 1
+            assert "neither a bundled preset" in capsys.readouterr().err
+
+    def test_pipe_config_accepted(self, capsys):
+        """A pipe, as a shell's ``<(...)`` passes it, is not a regular file
+        but is read like one."""
+        preset = cli.resolve_config("sim-delay", "sim-delay").read_text()
+        read_end, write_end = os.pipe()
+        with os.fdopen(write_end, "w") as writer:
+            writer.write(preset)
+        try:
+            assert run(["errorbound", "--config",
+                        f"/dev/fd/{read_end}"]) == 0
+        finally:
+            os.close(read_end)
+        assert "error bound" in capsys.readouterr().out
 
     def test_config_with_unknown_key(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

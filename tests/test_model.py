@@ -41,11 +41,6 @@ class TestReducedCoefficient:
         assert params.pure_trader
         assert reduced_cost_coefficient(params) == params.eta
 
-    def test_infinite_beta_normalised_to_none(self):
-        params = make_params(beta=math.inf)
-        assert params.pure_trader
-        assert params.beta is None
-
     @given(st.floats(1e-6, 1e6), st.floats(1e-6, 1e6))
     def test_r_below_both(self, eta, beta):
         params = make_params(eta=eta, beta=beta)
@@ -83,9 +78,6 @@ class TestValidation:
                                   "nu", "gamma", "rho", "horizon"]),
            value=st.sampled_from([math.nan, math.inf, -math.inf]))
     def test_non_finite_params_rejected(self, field, value):
-        if field == "beta" and value == math.inf:
-            assert make_params(beta=value).pure_trader
-            return
         with pytest.raises(ValueError):
             make_params(**{field: value})
 
@@ -114,6 +106,18 @@ class TestValidation:
                        delta_minus=-1500.0, pi_plus=10.0, pi_minus=-10.0)
         with pytest.raises(ValueError, match="jumps=None"):
             dataclasses.replace(jumps_negative, lam=0.0)
+
+    def test_infinite_beta_rejected(self, tmp_path):
+        """None is the only encoding of the pure trader: an infinite beta,
+        also JSON Infinity in a config, is refused."""
+        with pytest.raises(ValueError, match="beta must be positive and "
+                                             "finite"):
+            make_params(beta=math.inf)
+        path = write_config(tmp_path, dict(BASE_CONFIG, beta=math.inf))
+        assert '"beta": Infinity' in path.read_text()
+        with pytest.raises(ValueError, match="beta must be positive and "
+                                             "finite"):
+            load_param_file(path)
 
     def test_zero_size_jumps_allowed(self):
         jumps = JumpParams(lam=1.5 / DAY, p_plus=1.0, delta_plus=0.0,

@@ -14,8 +14,8 @@ from intraday.model import (DAY, HOUR, JumpParams, ModelParams,
 
 class TestRk4Integration:
     def test_matches_closed_form(self, sim_params):
-        solution = oracle.integrate_riccati(sim_params, sim_params.horizon,
-                                            n_steps=2000)
+        solution = oracle.integrate_jump_riccati(
+            sim_params, None, sim_params.horizon, n_steps=2000)
         errors = oracle.compare_with_closed_form(solution, sim_params)
         assert max(errors.values()) <= 1e-6
 
@@ -29,8 +29,8 @@ class TestRk4Integration:
         assert max(errors.values()) <= 1e-6
 
     def test_stiff_regime_uses_log_transform(self, table_params):
-        solution = oracle.integrate_riccati(table_params, table_params.horizon,
-                                            n_steps=4000)
+        solution = oracle.integrate_jump_riccati(
+            table_params, None, table_params.horizon, n_steps=4000)
         errors = oracle.compare_with_closed_form(solution, table_params)
         assert max(errors.values()) <= oracle.ODE_RTOL
 
@@ -83,7 +83,8 @@ class TestRk4Integration:
     def test_fourth_order_convergence(self, sim_params):
         """Halving the step divides the error by ~2^4 (classical RK4)."""
         def max_error(n):
-            sol = oracle.integrate_riccati(sim_params, sim_params.horizon, n)
+            sol = oracle.integrate_jump_riccati(sim_params, None,
+                                                sim_params.horizon, n)
             return max(oracle.compare_with_closed_form(sol,
                                                        sim_params).values())
 
@@ -97,7 +98,8 @@ class TestRk4Integration:
                              eta=200.0, mu=0.0, nu=4e-5, gamma=0.05, rho=0.8,
                              horizon=24 * HOUR)
         with pytest.raises(RuntimeError, match="blew up"):
-            oracle.integrate_riccati(params, params.horizon, n_steps=2)
+            oracle.integrate_jump_riccati(params, None, params.horizon,
+                                          n_steps=2)
 
     @pytest.mark.parametrize("gamma, n_steps, step", [(1e-5, 2, "2/2"),
                                                       (1e-7, 3, "2/3")])
@@ -109,13 +111,23 @@ class TestRk4Integration:
                              horizon=24 * HOUR)
         with pytest.raises(RuntimeError,
                            match=f"blew up at step {step}; reduce"):
-            oracle.integrate_riccati(params, params.horizon, n_steps=n_steps)
+            oracle.integrate_jump_riccati(params, None, params.horizon,
+                                          n_steps=n_steps)
+
+    def test_no_jump_wrapper_is_bit_identical(self, table_params):
+        """integrate_riccati is integrate_jump_riccati without jumps."""
+        plain = oracle.integrate_riccati(table_params, table_params.horizon,
+                                         500)
+        jump = oracle.integrate_jump_riccati(table_params, None,
+                                             table_params.horizon, 500)
+        assert plain.tau.tobytes() == jump.tau.tobytes()
+        assert plain.coeffs.tobytes() == jump.coeffs.tobytes()
 
     def test_invalid_arguments(self, sim_params):
         with pytest.raises(ValueError):
-            oracle.integrate_riccati(sim_params, -1.0, 100)
+            oracle.integrate_jump_riccati(sim_params, None, -1.0, 100)
         with pytest.raises(ValueError):
-            oracle.integrate_riccati(sim_params, 3600.0, 0)
+            oracle.integrate_jump_riccati(sim_params, None, 3600.0, 0)
 
 
 def _sha256(array):
@@ -133,7 +145,8 @@ class TestRk4Bits:
     change to the oracle's arithmetic must edit these digests."""
 
     def test_no_jump_system(self, sim_params):
-        sol = oracle.integrate_riccati(sim_params, sim_params.horizon, 10_000)
+        sol = oracle.integrate_jump_riccati(sim_params, None,
+                                            sim_params.horizon, 10_000)
         assert _sha256(sol.coeffs) == ("cb9b02a260eda3c13ad88c5b5fa2c56b"
                                        "54798d97ac7463e734d0b11a35fdc0a7")
         assert _sha256(sol.tau) == ("27beecf1ad781655538494ae11d038b8"
@@ -148,8 +161,8 @@ class TestRk4Bits:
                                     "e8696514ce67063e571990c013684376")
 
     def test_log_transformed_system(self, table_params):
-        sol = oracle.integrate_riccati(table_params, table_params.horizon,
-                                       10_000)
+        sol = oracle.integrate_jump_riccati(table_params, None,
+                                            table_params.horizon, 10_000)
         assert _sha256(sol.coeffs) == ("8608a894ff543695c90498f38a9208a3"
                                        "a979174887516eed6b96f006f27e4cc1")
         assert _sha256(sol.tau) == ("65d00426fd6c0a7d604d6e632f887df4"
@@ -242,8 +255,8 @@ class TestVerificationReport:
                                               c.k)
 
         monkeypatch.setattr(closed_form, "riccati_coefficients", tampered)
-        solution = oracle.integrate_riccati(sim_params, sim_params.horizon,
-                                            n_steps=500)
+        solution = oracle.integrate_jump_riccati(
+            sim_params, None, sim_params.horizon, n_steps=500)
         errors = oracle.compare_with_closed_form(solution, sim_params)
         assert errors["a"] > 1e-3
 
@@ -260,7 +273,7 @@ class TestVerificationReport:
         def not_called(*args, **kwargs):
             raise AssertionError("the oracle ran before the grid check")
 
-        monkeypatch.setattr(oracle, "_integrate", not_called)
+        monkeypatch.setattr(oracle, "integrate_jump_riccati", not_called)
         jumps = jumps_negative if with_jumps else None
         with pytest.raises(ValueError, match=message):
             oracle.verification_report(sim_params, jumps, **grid)
@@ -287,13 +300,13 @@ class TestVerificationReport:
         """The report integrates the config's own Riccati system once, the
         jump-corrected one when there are jumps, and checks it as
         ``riccati_ode``."""
-        calls, integrate = [], oracle._integrate
+        calls, integrate = [], oracle.integrate_jump_riccati
 
         def counted(*args):
             calls.append(args)
             return integrate(*args)
 
-        monkeypatch.setattr(oracle, "_integrate", counted)
+        monkeypatch.setattr(oracle, "integrate_jump_riccati", counted)
         jumps = None if lam is None else JumpParams(
             lam=lam, p_plus=0.3, delta_plus=1500.0, delta_minus=-1500.0,
             pi_plus=10.0, pi_minus=-10.0)
