@@ -23,23 +23,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .model import JumpParams, MarketState, ModelParams, reduced_cost_coefficient
 
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Riccati coefficient values at a fixed time-to-go.
+    """Riccati coefficient values at a time-to-go, or elementwise arrays
+    over an array of times-to-go.
 
     Units follow the quadratic form
     ``v = a (d-x)^2 + b y^2 + f (d-x) y + g (d-x) + h y + k``.
     """
 
-    a: float
-    b: float
-    f: float
-    g: float
-    h: float
-    k: float
+    a: float | np.ndarray
+    b: float | np.ndarray
+    f: float | np.ndarray
+    g: float | np.ndarray
+    h: float | np.ndarray
+    k: float | np.ndarray
 
     def assemble(self, spread: float, y: float) -> float:
         """Quadratic form at spread d - x and price y; ValueError on overflow."""
@@ -54,13 +57,27 @@ class CoefficientSet:
         return value
 
 
-def riccati_coefficients(tau: float, params: ModelParams) -> CoefficientSet:
+def _log_term(tau, r: float, nu: float, gamma: float):
+    """log(1 + (r + nu) tau / (2 gamma)): ``math.log1p`` on a float, whose
+    bits every scalar output keeps, and ``np.log1p`` on an array."""
+    x = (r + nu) * tau / (2.0 * gamma)
+    return math.log1p(x) if isinstance(x, float) else np.log1p(x)
+
+
+def riccati_coefficients(tau: float | np.ndarray,
+                         params: ModelParams) -> CoefficientSet:
     """Coefficients A..K of the auxiliary value function at time-to-go tau.
+
+    ``tau`` is a float, giving float coefficients, or an array, giving
+    arrays of its shape.  An array's A to H equal the scalar results node
+    by node.  Its K may differ from them in the last bits, by about 1e-15
+    of K's largest magnitude or less, because ``np.log1p`` and numpy's
+    ``**`` need not round as ``math.log1p`` and float ``**`` do.
 
     The pure-trader limit is the same formula at ``beta=None``, where the
     reduced cost coefficient r(eta, beta) becomes eta.
     """
-    if tau < 0:
+    if tau < 0 if isinstance(tau, float) else np.any(tau < 0):
         raise ValueError("time-to-go must be nonnegative")
     r = reduced_cost_coefficient(params)
     s0, sd = params.sigma0, params.sigma_d
@@ -71,7 +88,7 @@ def riccati_coefficients(tau: float, params: ModelParams) -> CoefficientSet:
     f = r * tau / den
     g = 2.0 * mu * tau * a
     h = -2.0 * r * mu * tau * b
-    log_term = math.log1p((r + nu) * tau / (2.0 * gamma))
+    log_term = _log_term(tau, r, nu, gamma)
     k = (gamma * (s0**2 + sd**2 * r**2 - 2.0 * rho * s0 * sd * r) / (r + nu) ** 2
          * log_term
          + (sd**2 * r * nu + 2.0 * rho * s0 * sd * r - s0**2) / (2.0 * (r + nu))
@@ -138,9 +155,15 @@ def forecast_equilibrium(tau, state: MarketState, params: ModelParams):
     return lhs, rhs, xi_s
 
 
-def jump_riccati_coefficients(tau: float, params: ModelParams,
+def jump_riccati_coefficients(tau: float | np.ndarray, params: ModelParams,
                               jumps: JumpParams | None) -> CoefficientSet:
-    """Coefficients with G, H, K jump-corrected (A, B, F are unchanged)."""
+    """Coefficients with G, H, K jump-corrected (A, B, F are unchanged).
+
+    ``tau`` is a float or an array, as in :func:`riccati_coefficients`.
+    An array's A, B, F and G equal the scalar results node by node.  Its H
+    and K may differ from them in the last bits, by about 1e-15 of their
+    largest magnitude or less.
+    """
     base = riccati_coefficients(tau, params)
     if jumps is None:
         return base
@@ -153,7 +176,7 @@ def jump_riccati_coefficients(tau: float, params: ModelParams,
     pip, pim = jumps.pi_plus, jumps.pi_minus
     delta, pi = jumps.delta, jumps.pi
     den = (r + nu) * tau + 2.0 * gamma
-    log_term = math.log1p((r + nu) * tau / (2.0 * gamma))
+    log_term = _log_term(tau, r, nu, gamma)
 
     g_l = base.g + 0.5 * lam * r * tau * (
         pi * tau + 2.0 * delta * (nu * tau + 2.0 * gamma)) / den

@@ -34,6 +34,24 @@ class TestRk4Integration:
         errors = oracle.compare_with_closed_form(solution, table_params)
         assert max(errors.values()) <= oracle.ODE_RTOL
 
+    @pytest.mark.parametrize("preset", ["sim-nojump", "sim-jump-pos",
+                                        "sim-jump-neg", "sim-delay",
+                                        "table13"])
+    def test_comparison_equals_scalar_loop(self, preset):
+        """``verify``'s comparison evaluates the closed forms in one array
+        call; its deviations equal those against one scalar closed-form
+        call per node, the reference, on every preset."""
+        params, jumps, _ = load_param_file(cli.resolve_config(preset, preset))
+        sol = oracle.integrate_jump_riccati(params, jumps, params.horizon)
+        closed = np.array([
+            (c.a, c.b, c.f, c.g, c.h, c.k) for c in (
+                closed_form.jump_riccati_coefficients(float(tau), params, jumps)
+                for tau in sol.tau)])
+        scales = np.maximum(np.abs(closed).max(axis=0), 1e-30)
+        errors = np.abs(sol.coeffs - closed).max(axis=0) / scales
+        assert oracle.compare_with_closed_form(sol, params, jumps) == dict(
+            zip("abfghk", errors.tolist()))
+
     @pytest.mark.parametrize("pure_trader", [False, True],
                              ids=["beta", "pure-trader"])
     @pytest.mark.parametrize("preset, with_jumps", [
