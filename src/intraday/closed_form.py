@@ -64,6 +64,28 @@ def _log_term(tau, r: float, nu: float, gamma: float):
     return math.log1p(x) if isinstance(x, float) else np.log1p(x)
 
 
+def _coefficients(tau, params: ModelParams, mu: float, var_p: float,
+                  var_d: float, cov: float) -> CoefficientSet:
+    """Coefficients A..K at demand drift ``mu`` and noise variance rates
+    ``var_p`` (price), ``var_d`` (demand) and covariance rate ``cov``."""
+    if tau < 0 if isinstance(tau, float) else np.any(tau < 0):
+        raise ValueError("time-to-go must be nonnegative")
+    r = reduced_cost_coefficient(params)
+    nu, gamma = params.nu, params.gamma
+    den = (r + nu) * tau + 2.0 * gamma
+    a = r * (0.5 * nu * tau + gamma) / den
+    b = -0.5 * tau / den
+    f = r * tau / den
+    g = 2.0 * mu * tau * a
+    h = -2.0 * r * mu * tau * b
+    log_term = _log_term(tau, r, nu, gamma)
+    k = (gamma * (var_p + var_d * r**2 - 2.0 * cov * r) / (r + nu) ** 2
+         * log_term
+         + (var_d * r * nu + 2.0 * cov * r - var_p) / (2.0 * (r + nu)) * tau
+         + r * mu**2 * tau**2 * (0.5 * nu * tau + gamma) / den)
+    return CoefficientSet(a, b, f, g, h, k)
+
+
 def riccati_coefficients(tau: float | np.ndarray,
                          params: ModelParams) -> CoefficientSet:
     """Coefficients A..K of the auxiliary value function at time-to-go tau.
@@ -77,24 +99,9 @@ def riccati_coefficients(tau: float | np.ndarray,
     The pure-trader limit is the same formula at ``beta=None``, where the
     reduced cost coefficient r(eta, beta) becomes eta.
     """
-    if tau < 0 if isinstance(tau, float) else np.any(tau < 0):
-        raise ValueError("time-to-go must be nonnegative")
-    r = reduced_cost_coefficient(params)
     s0, sd = params.sigma0, params.sigma_d
-    mu, nu, gamma, rho = params.mu, params.nu, params.gamma, params.rho
-    den = (r + nu) * tau + 2.0 * gamma
-    a = r * (0.5 * nu * tau + gamma) / den
-    b = -0.5 * tau / den
-    f = r * tau / den
-    g = 2.0 * mu * tau * a
-    h = -2.0 * r * mu * tau * b
-    log_term = _log_term(tau, r, nu, gamma)
-    k = (gamma * (s0**2 + sd**2 * r**2 - 2.0 * rho * s0 * sd * r) / (r + nu) ** 2
-         * log_term
-         + (sd**2 * r * nu + 2.0 * rho * s0 * sd * r - s0**2) / (2.0 * (r + nu))
-         * tau
-         + r * mu**2 * tau**2 * (0.5 * nu * tau + gamma) / den)
-    return CoefficientSet(a, b, f, g, h, k)
+    return _coefficients(tau, params, params.mu, s0**2, sd**2,
+                         params.rho * s0 * sd)
 
 
 def value_aux(state: MarketState, params: ModelParams) -> float:
@@ -159,47 +166,29 @@ def jump_riccati_coefficients(tau: float | np.ndarray, params: ModelParams,
                               jumps: JumpParams | None) -> CoefficientSet:
     """Coefficients with G, H, K jump-corrected (A, B, F are unchanged).
 
-    ``tau`` is a float or an array, as in :func:`riccati_coefficients`.
-    An array's A, B, F and G equal the scalar results node by node.  Its H
-    and K may differ from them in the last bits, by about 1e-15 of their
-    largest magnitude or less.
+    On a quadratic v the jumps' HJB term is a demand drift lam delta, extra
+    noise at the jump second moments and a price drift p = lam pi: the
+    no-jump form at the shifted drift and noise, plus three terms in p.
+
+    ``tau`` is a float or an array, as in :func:`riccati_coefficients`,
+    with the same node-by-node agreement: A to H equal, K in the last bits.
     """
-    base = riccati_coefficients(tau, params)
     if jumps is None:
-        return base
-
+        return riccati_coefficients(tau, params)
+    s0, sd, lam = params.sigma0, params.sigma_d, jumps.lam
+    m_dd, m_pp, m_dp = jumps.second_moments
+    mu = params.mu + lam * jumps.delta
+    base = _coefficients(tau, params, mu, s0**2 + lam * m_pp,
+                         sd**2 + lam * m_dd,
+                         params.rho * s0 * sd + lam * m_dp)
     r = reduced_cost_coefficient(params)
-    mu, nu, gamma = params.mu, params.nu, params.gamma
-    lam = jumps.lam
-    pp, pm = jumps.p_plus, jumps.p_minus
-    dp, dm = jumps.delta_plus, jumps.delta_minus
-    pip, pim = jumps.pi_plus, jumps.pi_minus
-    delta, pi = jumps.delta, jumps.pi
-    den = (r + nu) * tau + 2.0 * gamma
-    log_term = _log_term(tau, r, nu, gamma)
-
-    g_l = base.g + 0.5 * lam * r * tau * (
-        pi * tau + 2.0 * delta * (nu * tau + 2.0 * gamma)) / den
-    h_l = base.h - 0.5 * lam * tau**2 * (pi - 2.0 * r * delta) / den
-    k_l = base.k
-    k_l += (lam * gamma * (pp * (pip - r * dp) ** 2 + pm * (pim - r * dm) ** 2)
-            / (r + nu) ** 2 * log_term)
-    k_l += (-0.5 * lam * (pp * (pip**2 - r * dp * (2.0 * pip + nu * dp))
-                          + pm * (pim**2 - r * dm * (2.0 * pim + nu * dm)))
-            / (r + nu) * tau)
-    k_l += (0.5 * lam * r * (2.0 * nu * mu * delta
-                             + lam * (pp**2 * dp * (pip + nu * dp)
-                                      + pm**2 * dm * (pim + nu * dm)))
-            / (r + nu) * tau**2)
-    k_l += (lam**2 * gamma * r * (r * delta**2 + 2.0 * nu * pp * pm * dp * dm
-                                  - (pp**2 * dp * pip + pm**2 * dm * pim))
-            / ((r + nu) * den) * tau**2)
-    k_l += 2.0 * lam * gamma * r**2 * mu * delta / ((r + nu) * den) * tau**2
-    k_l += -lam**2 * pi**2 / (48.0 * gamma) * tau**3
-    k_l += (0.5 * lam**2 * pp * pm * r * (2.0 * nu * dp * dm + dm * pip + dp * pim)
-            / den * tau**3)
-    k_l += (4.0 * r * mu * lam * pi - lam**2 * pi**2) / (8.0 * den) * tau**3
-    return CoefficientSet(base.a, base.b, base.f, g_l, h_l, k_l)
+    p, gamma = lam * jumps.pi, params.gamma
+    den = (r + params.nu) * tau + 2.0 * gamma
+    tau2 = tau * tau  # float ** and numpy ** may round apart
+    return replace(base, g=base.g + p * r * tau2 / (2.0 * den),
+                   h=base.h - p * tau2 / (2.0 * den),
+                   k=base.k + (r * mu * p / (2.0 * den) - p**2 / (48.0 * gamma)
+                               - p**2 / (8.0 * den)) * tau2 * tau)
 
 
 def value_aux_jump(state: MarketState, params: ModelParams,

@@ -97,7 +97,7 @@ def error_bound_delay(state, params: ModelParams,
     v_h = _variance_after(tau, h, params)
     r = reduced_cost_coefficient(params)
     nu, gamma = params.nu, params.gamma
-    prefactor = (params.eta * r / (2.0 * params.beta)
+    prefactor = (error_bounds._bound_prefactor(params)
                  * ((r + nu) * h + 2.0 * gamma)
                  / ((params.eta + nu) * h + 2.0 * gamma))
     m = float(error_bounds.mean_spread(tau, state.spread, state.y, params))

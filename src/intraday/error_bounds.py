@@ -246,10 +246,14 @@ def asymptotic_rate_constants(tau, spread, y,
 
 def mean_spread_jump(tau, spread, y, params: ModelParams,
                      jumps: JumpParams | None):
-    """Mean terminal spread in the jump model, m_lambda.
+    """Mean terminal spread in the jump model when no jump occurs, m_lambda.
 
     Equal to ``m`` at a jump-shifted price plus an explicit drift
-    correction; reduces to :func:`mean_spread` when ``jumps`` is None.
+    correction; reduces to :func:`mean_spread` when ``jumps`` is None.  The
+    full mean, m_lambda plus lam times the integral over u in [0, tau] of
+    ``(delta (nu u + 2 gamma) + pi u) / ((r + nu) u + 2 gamma)``, is ``m``
+    at the drift mu + lam delta plus ``lam pi tau^2 / (2 den)``, with
+    ``den = (r + nu) tau + 2 gamma``.
     """
     if jumps is None:
         return mean_spread(tau, spread, y, params)

@@ -161,6 +161,15 @@ class JumpParams:
         """Mean price jump size p+ pi+ + p- pi-."""
         return self.p_plus * self.pi_plus + self.p_minus * self.pi_minus
 
+    @property
+    def second_moments(self) -> tuple[float, float, float]:
+        """Jump second moments E[dD^2], E[dP^2] and E[dD dP]."""
+        pp, pm = self.p_plus, self.p_minus
+        return (pp * self.delta_plus**2 + pm * self.delta_minus**2,
+                pp * self.pi_plus**2 + pm * self.pi_minus**2,
+                pp * self.delta_plus * self.pi_plus
+                + pm * self.delta_minus * self.pi_minus)
+
 
 @dataclass(frozen=True)
 class MarketState:
@@ -220,7 +229,7 @@ def terminal_cost(spread, xi, params: ModelParams):
     if params.pure_trader:
         if np.any(xi != 0.0):
             raise ValueError("pure trader cannot produce (xi must be 0)")
-        return 0.5 * params.eta * spread**2
+        return cost_after_production(spread, params, constrained=False)
     cost = 0.5 * params.beta * xi**2 + 0.5 * params.eta * (spread - xi) ** 2
     return cost if cost.ndim else float(cost)
 
@@ -229,7 +238,8 @@ def optimal_production_unconstrained(spread, params: ModelParams):
     """Unconstrained optimal production xi(d) = (eta/(eta+beta)) d."""
     if params.pure_trader:
         raise ValueError("pure trader has no production rule")
-    return params.eta / (params.eta + params.beta) * np.asarray(spread, dtype=float)
+    xi = params.eta / (params.eta + params.beta) * np.asarray(spread, dtype=float)
+    return xi if xi.ndim else float(xi)
 
 
 def optimal_production_constrained(spread, params: ModelParams):

@@ -65,12 +65,7 @@ def _rhs(params: ModelParams, jumps: JumpParams | None
     s0, sd, rho = params.sigma0, params.sigma_d, params.rho
     if jumps is not None:
         lam, delta, pi = jumps.lam, jumps.delta, jumps.pi
-        pp, pm = jumps.p_plus, jumps.p_minus
-        dp, dm = jumps.delta_plus, jumps.delta_minus
-        pip, pim = jumps.pi_plus, jumps.pi_minus
-        m_dd = pp * dp**2 + pm * dm**2
-        m_pp = pp * pip**2 + pm * pim**2
-        m_dp = pp * dp * pip + pm * dm * pim
+        m_dd, m_pp, m_dp = jumps.second_moments
 
     def rhs(v: Sequence[float], speed: float) -> tuple:
         a, b, f, g, h, k, c1, c2 = v
@@ -150,8 +145,8 @@ def compare_with_closed_form(solution: OdeSolution, params: ModelParams,
     coefficient over the grid, so identically-zero coefficients (e.g. G, H
     when mu = 0) are compared absolutely at the system's own scale.  The
     closed forms are evaluated on the whole grid in one array call, whose
-    H and K may differ from node-by-node scalar calls by about 1e-15 of
-    that scale or less.
+    K may differ from node-by-node scalar calls by about 1e-15 of that
+    scale or less.
     """
     c = closed_form.jump_riccati_coefficients(solution.tau, params, jumps)
     closed = np.column_stack((c.a, c.b, c.f, c.g, c.h, c.k))
@@ -329,8 +324,7 @@ def format_report(report: dict) -> str:
              f"overall: {'PASS' if report['passed'] else 'FAIL'}", ""]
     for name, check in report["checks"].items():
         status = "PASS" if check["passed"] else "FAIL"
-        details = ", ".join(f"{key}={value:.6g}" if isinstance(value, float)
-                            else f"{key}={value}"
+        details = ", ".join(f"{key}={value:.6g}"
                             for key, value in check.items()
                             if key not in ("passed", "per_coefficient"))
         lines.append(f"[{status}] {name}: {details}")

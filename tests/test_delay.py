@@ -151,6 +151,14 @@ class TestPostDecisionRate:
         assert delay.post_decision_mean_rate(state0, sim_params_eta200, 0.0) \
             == pytest.approx(q0, rel=1e-12)
 
+    def test_decision_now_is_plain_rate(self, sim_params_eta200):
+        """At h = tau the decision is taken now, V_h = 0, and the rate
+        after it is the plain rate."""
+        p, h = sim_params_eta200, 4 * HOUR
+        state = MarketState(t=p.horizon - h, x=0.0, y=50.0, d=50_000.0)
+        q0 = closed_form.feedback_rate(h, state.spread, state.y, p)
+        assert delay.post_decision_mean_rate(state, p, h) == q0
+
     def test_never_exceeds_pre_decision_rate(self, sim_params_eta200):
         p = sim_params_eta200
         for y in (20.0, 35.0, 50.0):

@@ -1,9 +1,12 @@
 """Unit and property tests for psi, spread moments and error bounds."""
 
 import hashlib
+import itertools
 import math
 import warnings
+from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -303,6 +306,11 @@ class TestErrorBound:
         # well below log(min double) ~ -745: bound itself underflows to zero
         assert math.isfinite(log_rep) and log_rep < -1e3
 
+    def test_log_bound_at_delivery(self, sim_params):
+        """At tau = 0 the spread is known, V = 0, and the bound is 0."""
+        assert error_bounds.log_error_bound(0.0, 5e4, 50.0, sim_params) \
+            == -math.inf
+
     def test_asymptotic_constants_formulas(self, sim_params):
         tau, spread, y = 24 * HOUR, 50_000.0, 50.0
         c1, c2, c3 = error_bounds.asymptotic_rate_constants(tau, spread, y,
@@ -329,6 +337,38 @@ class TestJumpBound:
             24 * HOUR, 50_000.0, 50.0, sim_params_eta200, None) == \
             error_bounds.mean_spread(24 * HOUR, 50_000.0, 50.0,
                                      sim_params_eta200)
+
+    @pytest.mark.parametrize("p_plus", [0.3, 1.0])
+    @pytest.mark.parametrize("beta", [0.002, None], ids=["beta", "pure"])
+    @pytest.mark.parametrize("mu", [0.0, 1000.0 / DAY], ids=["mu0", "mu1000"])
+    def test_mean_spread_jump_plus_jumps_is_full_mean(self, sim_params_eta200,
+                                                      p_plus, beta, mu):
+        """m_lambda is the mean terminal spread when no jump occurs.  Adding
+        the mean effect of the jumps, lam times the integral over the time
+        to go u of (delta (nu u + 2 gamma) + pi u) / ((r + nu) u + 2 gamma),
+        taken here by 30-digit quadrature, gives the full mean: m at the
+        drift mu + lam delta plus the price drift's lam pi tau^2 / (2 den).
+        Measured at most 1.1e-12 apart."""
+        p = replace(sim_params_eta200, beta=beta, mu=mu)
+        jumps = JumpParams(lam=1.5 / DAY, p_plus=p_plus, delta_plus=1500.0,
+                           delta_minus=-1500.0, pi_plus=10.0, pi_minus=-10.0)
+        r = reduced_cost_coefficient(p)
+        lam, delta, pi = jumps.lam, jumps.delta, jumps.pi
+        nu, gamma = p.nu, p.gamma
+        for tau, spread, y in itertools.product((HOUR, 24 * HOUR),
+                                                (-2e4, 5e4), (-50.0, 150.0)):
+            den = (r + nu) * tau + 2.0 * gamma
+            full = (error_bounds.mean_spread(
+                tau, spread, y, replace(p, mu=mu + lam * delta))
+                + lam * pi * tau**2 / (2.0 * den))
+            with mpmath.workdps(30):
+                jump_mean = lam * mpmath.quad(
+                    lambda u: (delta * (nu * u + 2 * gamma) + pi * u)
+                    / ((r + nu) * u + 2 * gamma),
+                    [0, 2 * gamma / (r + nu), tau])
+            no_jump = error_bounds.mean_spread_jump(tau, spread, y, p, jumps)
+            assert no_jump + float(jump_mean) == pytest.approx(full,
+                                                               rel=1e-11)
 
     def test_positive_only_jumps_closed_form(self, sim_params_eta200):
         """With p- = 0 there is no Monte Carlo average (stderr 0)."""

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from intraday import delay
+
 from intraday.model import (
     DAY,
     HOUR,
@@ -201,6 +203,29 @@ BASE_CONFIG = {
 #: The jump block of sim-jump-neg.
 JUMP_BLOCK = {"lambda_per_day": 1.5, "p_plus": 0.3, "delta_plus": 1500,
               "delta_minus": -1500, "pi_plus": 10, "pi_minus": -10}
+
+
+class TestScalarResults:
+    def test_unconstrained_production_refuses_pure_trader(self):
+        with pytest.raises(ValueError, match="pure trader"):
+            optimal_production_unconstrained(5.0, make_params(beta=None))
+
+    @pytest.mark.parametrize("call", [
+        lambda p, pure: terminal_cost(5.0, 1.0, p),
+        lambda p, pure: terminal_cost(5.0, 0.0, pure),
+        lambda p, pure: optimal_production_unconstrained(5.0, p),
+        lambda p, pure: optimal_production_constrained(5.0, p),
+        lambda p, pure: cost_after_production(5.0, p),
+        lambda p, pure: cost_after_production(5.0, p, constrained=False),
+        lambda p, pure: delay.production_rule_delay(5.0, 50.0, p, HOUR),
+        lambda p, pure: delay.production_rule_delay(5.0, 50.0, p, HOUR,
+                                                    constrained=False),
+    ], ids=["terminal-cost", "terminal-cost-pure-trader", "unconstrained",
+            "constrained", "cost-after", "cost-after-unconstrained",
+            "delay-rule", "delay-rule-unconstrained"])
+    def test_scalar_in_gives_python_float(self, call):
+        """A scalar in gives a Python float out, not a numpy scalar."""
+        assert type(call(make_params(), make_params(beta=None))) is float
 
 
 class TestLoadParamFile:

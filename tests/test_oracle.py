@@ -337,20 +337,22 @@ class TestVerificationReport:
 
     @pytest.mark.parametrize("name, mu", [
         ("a", 0.0), ("b", 0.0), ("f", 0.0), ("k", 0.0),
-        ("g", 0.01), ("h", 0.01),  # G = H = 0 at mu = 0
+        ("g", 0.02), ("h", 0.02),  # G = H = 0 at mu + lam delta = 0
     ])
     def test_jump_check_detects_wrong_no_jump_coefficients(
             self, sim_params_eta200, jumps_negative, monkeypatch, name, mu):
         """The jump system's check also covers the no-jump closed form that
         the jump coefficients are built on: a 1 % error in any coefficient
-        of ``riccati_coefficients`` fails ``riccati_ode``."""
-        original = closed_form.riccati_coefficients
+        of the shared core ``_coefficients`` fails ``riccati_ode``.  The
+        jumps shift the drift by lam delta = -0.0104 MW/s, so mu = 0.02
+        keeps G and H well away from 0."""
+        original = closed_form._coefficients
 
-        def tampered(tau, params):
-            c = original(tau, params)
+        def tampered(*args):
+            c = original(*args)
             return dataclasses.replace(c, **{name: getattr(c, name) * 1.01})
 
-        monkeypatch.setattr(closed_form, "riccati_coefficients", tampered)
+        monkeypatch.setattr(closed_form, "_coefficients", tampered)
         params = dataclasses.replace(sim_params_eta200, mu=mu, beta=None)
         report = oracle.verification_report(params, jumps_negative)
         check = report["checks"]["riccati_ode"]

@@ -1,14 +1,16 @@
-"""The package's import surface and the README's library example."""
+"""The package's import surface and the README's examples."""
 
 import ast
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import intraday
+from intraday import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = Path(intraday.__file__).resolve().parents[1]
@@ -55,3 +57,17 @@ def test_readme_library_example_runs():
                  namespace)
     assert len(results) == 3
     assert all(isinstance(x, float) and math.isfinite(x) for x in results)
+
+
+def test_readme_commands_run(tmp_path):
+    """Each line of the README's command-line block exits 0 through
+    ``cli.main``, with its ``--out`` directory moved into ``tmp_path``."""
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## Command line\n\n```sh\n(.*?)```", readme,
+                      re.DOTALL).group(1)
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert len(lines) == 5 and all(argv[0] == "intraday" for argv in lines)
+    for argv in lines:
+        argv = [str(tmp_path / word) if before == "--out" else word
+                for before, word in zip(["", *argv], argv)]
+        assert cli.main(argv[1:]) == 0, argv

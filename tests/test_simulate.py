@@ -26,6 +26,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="divide"):
             simulate.sample_paths(sim_params, None, policy, 1, 7.0, 0)
 
+    @pytest.mark.parametrize("when", [-1.0, 24 * HOUR + 1.0])
+    def test_production_time_outside_horizon_rejected(self, sim_params, when):
+        policy = replace(simulate.zero_policy(sim_params),
+                         production_time=when)
+        with pytest.raises(ValueError, match="production time"):
+            simulate.sample_paths(sim_params, None, policy, 1, 60.0, 0)
+
     def test_coarse_dt_with_jumps_rejected(self, sim_params_eta200,
                                            jumps_positive):
         policy = simulate.optimal_policy(sim_params_eta200, jumps_positive)
@@ -349,9 +356,10 @@ class TestMemory:
                              ids=["jumps", "no-jumps"])
     def test_chunk_working_set(self, sim_params, jumps_negative, with_jumps):
         """One 1024-path chunk holds its time-major dW and dB, the drawing
-        block with one block-sized temporary while it is scaled, and small
-        per-step arrays; 1.5 jumps a day add about 1500 events.  Measured
-        2.19 units without jumps, 2.20 with them."""
+        block, whose rho dW term is added in 8-row slices so that no
+        block-sized temporary is made, and small per-step arrays; 1.5 jumps
+        a day add about 1500 events.  Measured 2.14 units without jumps,
+        2.15 with them."""
         jumps = jumps_negative if with_jumps else None
         assert self._chunk_peak(sim_params, jumps, 1024) <= 2.25
 
