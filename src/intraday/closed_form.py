@@ -68,8 +68,8 @@ def _coefficients(tau, params: ModelParams, mu: float, var_p: float,
                   var_d: float, cov: float) -> CoefficientSet:
     """Coefficients A..K at demand drift ``mu`` and noise variance rates
     ``var_p`` (price), ``var_d`` (demand) and covariance rate ``cov``."""
-    if tau < 0 if isinstance(tau, float) else np.any(tau < 0):
-        raise ValueError("time-to-go must be nonnegative")
+    if not (tau >= 0 if isinstance(tau, float) else np.all(tau >= 0)):
+        raise ValueError("time-to-go must be nonnegative")  # or nan
     r = reduced_cost_coefficient(params)
     nu, gamma = params.nu, params.gamma
     den = (r + nu) * tau + 2.0 * gamma
@@ -137,7 +137,7 @@ def feedback_rate_pure_trader(tau, spread, y, params: ModelParams):
     return feedback_rate(tau, spread, y, replace(params, beta=None))
 
 
-def forecast_equilibrium(tau, state: MarketState, params: ModelParams):
+def forecast_equilibrium(tau, x, y, d, params: ModelParams):
     """Forecast marginal-price / marginal-cost equilibrium of the optimum.
 
     At the optimum the forecast purchase price of a marginal MW equals the
@@ -146,18 +146,16 @@ def forecast_equilibrium(tau, state: MarketState, params: ModelParams):
         Y + nu q tau + 2 gamma q = beta xi_s,
         xi_s = (eta/(eta+beta)) (D + mu tau - X - q tau).
 
-    Returns
-    -------
-    (lhs, rhs, forecast_production)
-        Both sides of the identity (equal to machine precision) and the
-        forecast production quantity xi_s.
+    Returns ``(lhs, rhs, xi_s)``, elementwise in scalars or arrays
+    (tau, x, y, d): both sides of the identity, equal to machine
+    precision, and the forecast production quantity.
     """
     if params.pure_trader:
         raise ValueError("equilibrium identity requires finite beta")
-    q = feedback_rate(tau, state.spread, state.y, params)
-    lhs = state.y + params.nu * q * tau + 2.0 * params.gamma * q
+    q = feedback_rate(tau, d - x, y, params)
+    lhs = y + params.nu * q * tau + 2.0 * params.gamma * q
     xi_s = params.eta / (params.eta + params.beta) * (
-        state.d + params.mu * tau - state.x - q * tau)
+        d + params.mu * tau - x - q * tau)
     rhs = params.beta * xi_s
     return lhs, rhs, xi_s
 

@@ -32,6 +32,7 @@ from scipy.special import ndtr
 
 from .model import (JumpParams, ModelParams, check_memory, check_seed,
                     reduced_cost_coefficient)
+from .simulate import _STREAM_BOUND, _stream
 
 #: Switch point between direct evaluation of psi and its tail expansion.
 #: Direct evaluation loses relative accuracy to cancellation as z grows:
@@ -162,7 +163,7 @@ def variance_spread(tau, params: ModelParams) -> float:
     linear term, a logarithm, and an inverse term from the double root at
     ``s = -2 gamma / (r + nu)``.
     """
-    if tau < 0:
+    if not tau >= 0:  # also refuses nan
         raise ValueError("time-to-go must be nonnegative")
     r = reduced_cost_coefficient(params)
     s0, sd = params.sigma0, params.sigma_d
@@ -232,8 +233,10 @@ def asymptotic_rate_constants(tau, spread, y,
     (iii) log E_bar / y^2          -> -(1/2) n_inf(tau)^2 / V(tau),
 
     with m_inf = (nu tau + 2 gamma)/((r + nu) tau + 2 gamma) and
-    n_inf = tau/((r + nu) tau + 2 gamma).
+    n_inf = tau/((r + nu) tau + 2 gamma), for tau > 0 (V(0) = 0).
     """
+    if not tau > 0:
+        raise ValueError("time-to-go must be positive: V(0) = 0")
     r = reduced_cost_coefficient(params)
     nu, gamma = params.nu, params.gamma
     den = (r + nu) * tau + 2.0 * gamma
@@ -278,8 +281,8 @@ def error_bound_jump(tau, spread, y, params: ModelParams,
             / ((r + nu)(tau - s) + 2 gamma).
 
     The expectation over S is estimated from ``MC_SAMPLES`` (100 000)
-    Monte Carlo draws keyed by ``seed`` (closed form when p- = 0 or
-    ``jumps`` is None, in which case the standard error is zero).
+    Monte Carlo draws from ``seed``'s stream ``_STREAM_BOUND`` (closed form
+    when p- = 0 or ``jumps`` is None, with a zero standard error).
     """
     check_seed(seed)
     if jumps is None:
@@ -299,8 +302,7 @@ def error_bound_jump(tau, spread, y, params: ModelParams,
     r = reduced_cost_coefficient(params)
     nu, gamma = params.nu, params.gamma
     sqrt_v = math.sqrt(v)
-    rng = np.random.Generator(
-        np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    rng = _stream(seed, 0, _STREAM_BOUND)
     bounds = np.empty(MC_SAMPLES)
     probs = np.empty(MC_SAMPLES)
     for start in range(0, MC_SAMPLES, chunk):

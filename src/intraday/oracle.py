@@ -282,14 +282,11 @@ def verification_report(params: ModelParams, jumps: JumpParams | None = None,
 
     if not params.pure_trader:
         rng = simulate._stream(seed, 0, simulate._STREAM_FUZZ)
-        worst = 0.0
-        for _ in range(1000):
-            tau = float(rng.uniform(0.0, params.horizon))
-            state = MarketState(t=0.0, x=float(rng.uniform(-1e4, 1e4)),
-                                y=float(rng.uniform(-100.0, 200.0)),
-                                d=float(rng.uniform(-1e4, 1e5)))
-            lhs, rhs, _ = closed_form.forecast_equilibrium(tau, state, params)
-            worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-9))
+        tau, x, y, d = rng.uniform((0.0, -1e4, -100.0, -1e4),
+                                   (params.horizon, 1e4, 200.0, 1e5),
+                                   (1000, 4)).T  # 1000 states
+        lhs, rhs, _ = closed_form.forecast_equilibrium(tau, x, y, d, params)
+        worst = float(np.max(abs(lhs - rhs) / np.maximum(abs(rhs), 1e-9)))
         checks["forecast_equilibrium"] = {
             "max_relative_error": worst, "tolerance": 1e-9,
             "passed": worst <= 1e-9,

@@ -51,9 +51,9 @@ _BLOCK = 64
 
 #: Streams per path in the counter-based RNG keying.
 _STREAM_W, _STREAM_W_PERP, _STREAM_JUMP_TIMES, _STREAM_JUMP_SIGNS = range(4)
-#: Stream of the equilibrium fuzz in ``oracle.verification_report``, keyed
-#: as path 0's; no path draws from stream ids 4 to 7.
-_STREAM_FUZZ = 4
+#: Streams keyed as path 0's on ids 4 to 7, which no path uses: the
+#: equilibrium fuzz of ``verify`` and the Monte Carlo of ``error_bound_jump``.
+_STREAM_FUZZ, _STREAM_BOUND = 4, 5
 
 #: Coarsest grid allowed in the presence of jumps (jump placement error).
 MAX_JUMP_DT = 60.0
@@ -185,23 +185,25 @@ class _PhiloxKey(np.random.bit_generator.ISeedSequence):
 
 
 def _stream(seed: int, path_id: int, stream_id: int) -> np.random.Generator:
+    """The one place where a seed becomes a Philox key."""
     key = np.array([seed, (path_id << 3) + stream_id], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
 
 
 def _draw_jumps(seed: int, path_id: int, jumps: JumpParams,
                 horizon: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact exponential jump times on [0, horizon) and +1/-1 signs."""
+    """Exact exponential jump times on [0, horizon), the running sum of gaps
+    drawn in doubling batches, and +1/-1 signs."""
     gen_t = _stream(seed, path_id, _STREAM_JUMP_TIMES)
-    times, t = [], 0.0
-    while t < horizon:
-        for gap in gen_t.exponential(1.0 / jumps.lam, size=8):
-            t += gap
-            if t >= horizon:
-                break
-            times.append(t)
-    uniforms = _stream(seed, path_id, _STREAM_JUMP_SIGNS).random(size=len(times))
-    return np.array(times), np.where(uniforms < jumps.p_plus, 1, -1)
+    times = np.cumsum(gen_t.exponential(1.0 / jumps.lam, size=8))
+    while times[-1] < horizon:
+        gaps = gen_t.exponential(1.0 / jumps.lam, size=times.size)
+        gaps[0] += times[-1]  # cumsum adds in order: the running sum's bits
+        times = np.concatenate((times, np.cumsum(gaps, out=gaps)))
+    # a copy: the batch of paths holds no draws past the horizon
+    times = times[:np.searchsorted(times, horizon)].copy()
+    uniforms = _stream(seed, path_id, _STREAM_JUMP_SIGNS).random(size=times.size)
+    return times, np.where(uniforms < jumps.p_plus, 1, -1)
 
 
 def _merge_batch(flags: np.ndarray, record_pos: np.ndarray, dt: float,

@@ -479,7 +479,7 @@ class TestGoldenOutputs:
         (["errorbound", "--config", "sim-nojump"],
          "ff31b7a0b2d82e49ea976e207064dc6bcbdc1f11857c611408f2325ba97ffa07"),
         (["errorbound", "--config", "sim-jump-neg"],
-         "97ad1a82c6add77aaef984a82b69b052bad41354fe4e06f433523d020df13e2f"),
+         "d5c90d28f912740d1098387595bf44daca4de4ed8d0f066488a8fe98b3f15f90"),
         (["errorbound", "--config", "sim-delay"],
          "85b438e1684bec0d8bb632c18d6df4991e458bc6376bcc5931c5d1ad9dc31312"),
         (["errorbound", "--config", "table13"],

@@ -106,6 +106,17 @@ class TestTerminalCondition:
             closed_form.jump_riccati_coefficients(tau, sim_params,
                                                   jumps_negative)
 
+    @pytest.mark.parametrize("tau", [math.nan, np.array([0.0, math.nan, 1.0])],
+                             ids=["float", "array"])
+    def test_nan_time_to_go_rejected(self, sim_params, jumps_negative, tau):
+        """nan fails ``tau < 0`` as well as ``tau >= 0``: it is refused,
+        not turned into nan coefficients."""
+        with pytest.raises(ValueError, match="nonnegative"):
+            closed_form.riccati_coefficients(tau, sim_params)
+        with pytest.raises(ValueError, match="nonnegative"):
+            closed_form.jump_riccati_coefficients(tau, sim_params,
+                                                  jumps_negative)
+
 
 class TestInvariances:
     @given(tau=taus(), d=spreads(), y=prices(), shift=st.floats(-1e5, 1e5))
@@ -122,8 +133,7 @@ class TestInvariances:
     @given(tau=st.floats(1.0, 48 * HOUR), d=spreads(), y=prices())
     @settings(max_examples=100, deadline=None)
     def test_forecast_equilibrium_identity(self, sim_params, tau, d, y):
-        state = MarketState(t=0.0, x=0.0, y=y, d=d)
-        lhs, rhs, xi_s = closed_form.forecast_equilibrium(tau, state,
+        lhs, rhs, xi_s = closed_form.forecast_equilibrium(tau, 0.0, y, d,
                                                           sim_params)
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
         eta, beta = sim_params.eta, sim_params.beta
@@ -136,8 +146,20 @@ class TestInvariances:
                            beta=None, eta=100.0, mu=0.0, nu=4e-5, gamma=2.22,
                            rho=0.8, horizon=24 * HOUR)
         with pytest.raises(ValueError):
-            closed_form.forecast_equilibrium(
-                3600.0, MarketState(t=0.0, x=0.0, y=50.0, d=1000.0), pure)
+            closed_form.forecast_equilibrium(3600.0, 0.0, 50.0, 1000.0, pure)
+
+    def test_equilibrium_on_arrays_matches_scalar_calls(self, sim_params):
+        """Elementwise: each entry has the bits of a scalar call."""
+        rng = np.random.default_rng(3)
+        tau, x, y, d = rng.uniform((0.0, -1e4, -100.0, -1e4),
+                                   (sim_params.horizon, 1e4, 200.0, 1e5),
+                                   (500, 4)).T
+        arrays = closed_form.forecast_equilibrium(tau, x, y, d, sim_params)
+        scalars = np.array([
+            closed_form.forecast_equilibrium(*state, sim_params)
+            for state in zip(tau.tolist(), x.tolist(), y.tolist(),
+                             d.tolist())]).T
+        assert np.array(arrays).tobytes() == scalars.tobytes()
 
 
 def _coefficient_derivatives(tau, params, step):

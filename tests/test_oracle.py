@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from intraday import cli, closed_form, oracle, simulate
+from intraday import cli, closed_form, error_bounds, oracle, simulate
 from intraday.model import (DAY, HOUR, JumpParams, ModelParams,
                             load_param_file, reduced_cost_coefficient)
 
@@ -361,7 +361,9 @@ class TestVerificationReport:
 
     def test_rng_keys_are_distinct(self, sim_params, jumps_negative,
                                    monkeypatch):
-        """The equilibrium fuzz draws from a stream that no path uses."""
+        """One seed's jump bound, simulated paths and equilibrium fuzz draw
+        from distinct Philox keys; the paths of ``verify`` are those of
+        ``sample_paths``."""
         keys, philox = [], np.random.Philox
 
         def recorded(seed=None, counter=None, key=None):
@@ -369,11 +371,24 @@ class TestVerificationReport:
             keys.append(tuple(int(w) for w in words))
             return philox(seed, counter, key)
 
+        def keys_of(call):
+            keys.clear()
+            call()
+            return list(keys)
+
         monkeypatch.setattr(np.random, "Philox", recorded)
-        oracle.verification_report(sim_params, jumps_negative, seed=7,
-                                   n_paths=3)
-        assert len(keys) == 13  # 4 streams for each of 3 paths, 1 fuzz
-        assert len(set(keys)) == len(keys)
+        bound = keys_of(lambda: error_bounds.error_bound_jump(
+            24 * HOUR, 5e4, 50.0, sim_params, jumps_negative, seed=7))
+        paths = keys_of(lambda: simulate.sample_paths(
+            sim_params, jumps_negative,
+            simulate.optimal_policy(sim_params, jumps_negative), 3, 60.0, 7))
+        verify = keys_of(lambda: oracle.verification_report(
+            sim_params, jumps_negative, seed=7, n_paths=3))
+        assert len(bound) == 1 and len(paths) == 12
+        assert len(verify) == 13  # 4 streams for each of 3 paths, 1 fuzz
+        assert set(paths) < set(verify)
+        drawn = bound + verify
+        assert len(set(drawn)) == len(drawn)
 
     def test_format_report_mentions_status(self, sim_params):
         report = {"passed": True,

@@ -331,6 +331,49 @@ class TestGoldenPaths:
             "b75ba431c2539190c74561b46dc66ea0d5656e6b37954ce32b0efa0f4940dc65")
 
 
+def _running_sum_jumps(seed, path_id, jumps, horizon):
+    """Jump times added up one Python float at a time, 8 gaps per draw,
+    and their signs: the reference the array draw must reproduce."""
+    gen_t = simulate._stream(seed, path_id, simulate._STREAM_JUMP_TIMES)
+    times, t = [], 0.0
+    while t < horizon:
+        for gap in gen_t.exponential(1.0 / jumps.lam, size=8):
+            t += gap
+            if t >= horizon:
+                break
+            times.append(t)
+    uniforms = simulate._stream(seed, path_id, simulate._STREAM_JUMP_SIGNS
+                                ).random(size=len(times))
+    return np.array(times), np.where(uniforms < jumps.p_plus, 1, -1)
+
+
+class TestJumpDraws:
+    """``_draw_jumps`` takes the cumulative sum of its stream's gaps in
+    array calls, with the bits of a running sum."""
+
+    @staticmethod
+    def _assert_same(ours, ref):
+        for a, b in zip(ours, ref):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("per_day, n_paths", [
+        (1.5, 640), (1e4, 20), (1e5, 4)])
+    def test_matches_running_sum(self, jumps_negative, per_day, n_paths):
+        jumps = replace(jumps_negative, lam=per_day / DAY)
+        for pid in range(n_paths):
+            self._assert_same(
+                simulate._draw_jumps(cli.DEFAULT_SEED, pid, jumps, DAY),
+                _running_sum_jumps(cli.DEFAULT_SEED, pid, jumps, DAY))
+
+    def test_jump_at_the_horizon_is_dropped(self, jumps_negative):
+        """A jump time equal to the horizon is outside [0, horizon)."""
+        jumps = replace(jumps_negative, lam=20.0 / DAY)
+        horizon = float(_running_sum_jumps(7, 3, jumps, DAY)[0][5])
+        ours = simulate._draw_jumps(7, 3, jumps, horizon)
+        assert ours[0].size == 5 and ours[0][-1] < horizon
+        self._assert_same(ours, _running_sum_jumps(7, 3, jumps, horizon))
+
+
 class TestMemory:
     @staticmethod
     def _chunk_peak(params, jumps, n):
