@@ -472,23 +472,30 @@ class TestOversizedJumpDraws:
         assert not (tmp_path / "out").exists()
 
 
+#: (argv, sha256 of stdout).  The test id is the argv alone, so that
+#: retaking a digest does not rename the test.
+_STDOUT_DIGESTS = [
+    (["errorbound", "--config", "sim-nojump"],
+     "ff31b7a0b2d82e49ea976e207064dc6bcbdc1f11857c611408f2325ba97ffa07"),
+    (["errorbound", "--config", "sim-jump-neg"],
+     "d5c90d28f912740d1098387595bf44daca4de4ed8d0f066488a8fe98b3f15f90"),
+    (["errorbound", "--config", "sim-delay"],
+     "85b438e1684bec0d8bb632c18d6df4991e458bc6376bcc5931c5d1ad9dc31312"),
+    (["errorbound", "--config", "table13"],
+     "35b371e7ee1fc2e674a487db34bc65622b6c12fb0db607bf23c19c973d2df48e"),
+    (["delay"],
+     "0a875bceeef72db46c0ffb43eef610dd7f764d423df2157303c186e55bc76fff"),
+    (["delay", "--delay-hours", "0"],
+     "f5ad344e71184b3c36fd307466381f1771e6f598e3f5a55df18b157f7d55b20d"),
+]
+
+
 class TestGoldenOutputs:
     """sha256 of outputs that no other test pins byte for byte."""
 
-    @pytest.mark.parametrize("argv, digest", [
-        (["errorbound", "--config", "sim-nojump"],
-         "ff31b7a0b2d82e49ea976e207064dc6bcbdc1f11857c611408f2325ba97ffa07"),
-        (["errorbound", "--config", "sim-jump-neg"],
-         "d5c90d28f912740d1098387595bf44daca4de4ed8d0f066488a8fe98b3f15f90"),
-        (["errorbound", "--config", "sim-delay"],
-         "85b438e1684bec0d8bb632c18d6df4991e458bc6376bcc5931c5d1ad9dc31312"),
-        (["errorbound", "--config", "table13"],
-         "35b371e7ee1fc2e674a487db34bc65622b6c12fb0db607bf23c19c973d2df48e"),
-        (["delay"],
-         "0a875bceeef72db46c0ffb43eef610dd7f764d423df2157303c186e55bc76fff"),
-        (["delay", "--delay-hours", "0"],
-         "f5ad344e71184b3c36fd307466381f1771e6f598e3f5a55df18b157f7d55b20d"),
-    ])
+    @pytest.mark.parametrize(
+        "argv, digest", _STDOUT_DIGESTS,
+        ids=["-".join(argv) for argv, _ in _STDOUT_DIGESTS])
     def test_stdout(self, argv, digest, capsys):
         assert run(argv) == 0
         assert hashlib.sha256(

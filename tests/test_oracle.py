@@ -159,8 +159,10 @@ class TestRk4Bits:
     Python-float RK4 replaced, the no-jump sim digests from the log-time
     RK4 that replaced linear time for non-stiff systems, and the jump
     digest from the RK4 that carries u1, u2 into the jump terms (its
-    error against the closed forms fell from 6.7e-14 to 1.2e-14).  A
-    change to the oracle's arithmetic must edit these digests."""
+    error against the closed forms fell from 6.7e-14 to 1.2e-14).  The
+    drift and pure-trader digests cover the mu terms and beta = None,
+    which no preset reaches.  A change to the oracle's arithmetic must
+    edit these digests."""
 
     def test_no_jump_system(self, sim_params):
         sol = oracle.integrate_jump_riccati(sim_params, None,
@@ -185,6 +187,24 @@ class TestRk4Bits:
                                        "a979174887516eed6b96f006f27e4cc1")
         assert _sha256(sol.tau) == ("65d00426fd6c0a7d604d6e632f887df4"
                                     "d33ed9c0af73987350be53fb6cf6bcd0")
+
+    def test_drift_jump_system(self, sim_params, jumps_negative):
+        params = dataclasses.replace(sim_params, mu=0.3, rho=-0.5)
+        sol = oracle.integrate_jump_riccati(params, jumps_negative,
+                                            params.horizon, 10_000)
+        assert _sha256(sol.coeffs) == ("7d94034b75f7f8d3e5e517b653764492"
+                                       "5a80be206b0d981a1cd25e251c8256bd")
+        assert _sha256(sol.tau) == ("27beecf1ad781655538494ae11d038b8"
+                                    "83ea98f668fd16bb625a493c690af48d")
+
+    def test_pure_trader_jump_system(self, sim_params, jumps_positive):
+        params = dataclasses.replace(sim_params, beta=None)
+        sol = oracle.integrate_jump_riccati(params, jumps_positive,
+                                            params.horizon, 10_000)
+        assert _sha256(sol.coeffs) == ("fb169e23403073eac0a54a8ffda12827"
+                                       "19bd717bb5340690a8240028c0819cff")
+        assert _sha256(sol.tau) == ("c191f43bc0eb03f4e643af8ed994a4bd"
+                                    "cda533f4070c70ae62b7aac00e51ff23")
 
 
 class TestQuadrature:
