@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import math
 
 import mpmath
 import numpy as np
@@ -141,9 +142,15 @@ class TestRk4Integration:
         assert plain.tau.tobytes() == jump.tau.tobytes()
         assert plain.coeffs.tobytes() == jump.coeffs.tobytes()
 
+    @pytest.mark.parametrize("tau_max", [math.nan, math.inf, -1.0])
+    def test_non_finite_or_negative_tau_max(self, sim_params, tau_max):
+        """nan and inf used to pass the sign check and fail as a blow-up
+        at step 1, which blames the step size."""
+        with pytest.raises(ValueError, match="tau_max must be positive "
+                                             "and finite"):
+            oracle.integrate_jump_riccati(sim_params, None, tau_max, 100)
+
     def test_invalid_arguments(self, sim_params):
-        with pytest.raises(ValueError):
-            oracle.integrate_jump_riccati(sim_params, None, -1.0, 100)
         with pytest.raises(ValueError):
             oracle.integrate_jump_riccati(sim_params, None, 3600.0, 0)
 
