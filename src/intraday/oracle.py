@@ -13,11 +13,9 @@ Nothing here is used in the production evaluation path.
 
 The RK4 state is eight Python floats rather than a numpy array, because
 on eight numbers numpy's per-call overhead dominates.  Each step is one
-Python call: the stages pass the state as positional floats, with no
-list or generator, and the products of constants are computed once per
-integration.  Only a product that Python already evaluates first is
-hoisted, and no division becomes a multiplication by a reciprocal, so
-the coefficients keep their bits.
+Python call that passes the state between stages as positional floats,
+with no list or generator, and computes the products of constants once
+per integration, hoisted so that every bit stays (see ``_rk4_step``).
 """
 
 from __future__ import annotations
