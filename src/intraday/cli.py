@@ -175,7 +175,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_errorbound(args) -> int:
-    check_seed(args.seed)  # read only for a jump config, checked always
+    check_seed(args.seed)  # checked, not read: the bound draws nothing
     params, jumps, delay_seconds = load_param_file(
         resolve_config(args.config, "sim-nojump"))
     tau = params.horizon
@@ -185,12 +185,10 @@ def cmd_errorbound(args) -> int:
         kind = f"delay (h = {delay_seconds / HOUR:g} h)"
     else:  # without jumps this is the closed-form no-jump bound
         report = error_bounds.error_bound_jump(
-            tau, state.spread, state.y, params, jumps, seed=args.seed)
+            tau, state.spread, state.y, params, jumps)
         kind = "no-jump" if jumps is None else "jump"
     print(f"model: {kind}")
     print(f"error bound: {report.bound:.6g} EUR")
-    if report.mc_stderr:
-        print(f"mc stderr: {report.mc_stderr:.3g} EUR")
     print(f"shortfall probability: {report.shortfall_probability:.6g}")
     print(f"mean terminal spread: {report.moments.mean:.6g} MW")
     print(f"variance terminal spread: {report.moments.variance:.6g} MW^2")

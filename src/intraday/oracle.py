@@ -192,18 +192,17 @@ def compare_with_closed_form(solution: OdeSolution, params: ModelParams,
 def variance_spread_quadrature(tau: float, params: ModelParams) -> float:
     """Gauss–Legendre cross-check of the closed-form variance V.
 
-    Uses 32 panels of 20 nodes in the same log time u as the RK4 oracle,
-    s = scale (e^u - 1) with scale = 2 gamma / (r + nu): the integrand's
-    boundary layer of width ~scale at s = 0 gets as many nodes as the rest
-    of the interval, and every preset is integrated to ~1e-15.
+    Uses 32 panels of 20 nodes (:func:`error_bounds.log_time_nodes`) in
+    the same log time u as the RK4 oracle, s = scale (e^u - 1) with
+    scale = 2 gamma / (r + nu): the integrand's boundary layer of width
+    ~scale at s = 0 gets as many nodes as the rest of the interval, and
+    every preset is integrated to ~1e-15.
     """
     r = reduced_cost_coefficient(params)
     s0, sd = params.sigma0, params.sigma_d
     nu, gamma, rho = params.nu, params.gamma, params.rho
     scale = 2.0 * gamma / (r + nu)
-    nodes, weights = np.polynomial.legendre.leggauss(20)
-    width = math.log1p(tau / scale) / 32
-    u = (np.arange(32)[:, None] + 0.5 * (nodes + 1.0)) * width
+    u, weights, width = error_bounds.log_time_nodes(tau, scale)
     s = scale * np.expm1(u)
     lin = nu * s + 2.0 * gamma
     integrand = (s0**2 * s**2 + sd**2 * lin**2 + 2.0 * rho * s0 * sd * s * lin

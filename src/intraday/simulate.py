@@ -51,9 +51,9 @@ _BLOCK = 64
 
 #: Streams per path in the counter-based RNG keying.
 _STREAM_W, _STREAM_W_PERP, _STREAM_JUMP_TIMES, _STREAM_JUMP_SIGNS = range(4)
-#: Streams keyed as path 0's on ids 4 to 7, which no path uses: the
-#: equilibrium fuzz of ``verify`` and the Monte Carlo of ``error_bound_jump``.
-_STREAM_FUZZ, _STREAM_BOUND = 4, 5
+#: Stream keyed as path 0's on id 4, which no path uses: the equilibrium
+#: fuzz of ``verify``.
+_STREAM_FUZZ = 4
 
 #: Coarsest grid allowed in the presence of jumps (jump placement error).
 MAX_JUMP_DT = 60.0

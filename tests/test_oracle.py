@@ -388,9 +388,9 @@ class TestVerificationReport:
 
     def test_rng_keys_are_distinct(self, sim_params, jumps_negative,
                                    monkeypatch):
-        """One seed's jump bound, simulated paths and equilibrium fuzz draw
-        from distinct Philox keys; the paths of ``verify`` are those of
-        ``sample_paths``."""
+        """One seed's simulated paths and equilibrium fuzz draw from
+        distinct Philox keys, and the jump bound draws none; the paths of
+        ``verify`` are those of ``sample_paths``."""
         keys, philox = [], np.random.Philox
 
         def recorded(seed=None, counter=None, key=None):
@@ -411,11 +411,10 @@ class TestVerificationReport:
             simulate.optimal_policy(sim_params, jumps_negative), 3, 60.0, 7))
         verify = keys_of(lambda: oracle.verification_report(
             sim_params, jumps_negative, seed=7, n_paths=3))
-        assert len(bound) == 1 and len(paths) == 12
+        assert bound == [] and len(paths) == 12
         assert len(verify) == 13  # 4 streams for each of 3 paths, 1 fuzz
         assert set(paths) < set(verify)
-        drawn = bound + verify
-        assert len(set(drawn)) == len(drawn)
+        assert len(set(verify)) == len(verify)
 
     def test_format_report_mentions_status(self, sim_params):
         report = {"passed": True,
