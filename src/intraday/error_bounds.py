@@ -48,8 +48,8 @@ _PSI_TILDE_TAIL = (1.0, -3.0, 15.0, -105.0, 945.0, -10395.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
-#: Gauss–Legendre rules on [0, 1] in panels, by (panels, order); filled on
-#: first use by :func:`log_time_nodes`.
+#: Composite Gauss–Legendre rules on [0, panels], by the number of panels;
+#: filled on first use by :func:`log_time_nodes`.
 _UNIT_PANELS: dict = {}
 
 #: Panels of 20 nodes in the jump-time average E[e^{sJ}] of
@@ -60,8 +60,12 @@ _JUMP_PANELS = 8
 #: to the integrand at the saddle point.
 _LOG_EPS = math.log(1e-16)
 
-#: Frequencies evaluated at once by the contour integrals.
+#: Frequencies evaluated at once by the contour integrals, and at most in
+#: all (about 1.5 s): a Fourier integral resolves the narrowest feature of
+#: the law, the diffusion's sd sqrt(V), over the range of the jumps, which
+#: takes many frequencies where V -> 0 near delivery.
 _CONTOUR_BLOCK = 32
+_MAX_FREQUENCIES = 2**17
 
 
 @dataclass(frozen=True)
@@ -280,23 +284,24 @@ def mean_spread_jump(tau, spread, y, params: ModelParams,
     return mean_spread(tau, spread, y_shifted, params) + correction
 
 
-def log_time_nodes(tau: float, scale: float, panels: int = 32,
-                   order: int = 20) -> tuple[np.ndarray, np.ndarray, float]:
-    """Composite Gauss–Legendre in the log time u of s = scale (e^u - 1).
+def log_time_nodes(tau: float, scale: float, panels: int = 32
+                   ) -> tuple[np.ndarray, np.ndarray, float]:
+    """Composite 20-node Gauss–Legendre in the log time u of
+    s = scale (e^u - 1).
 
-    Returns the nodes u (one row of ``order`` per panel), the weights of one
+    Returns the nodes u (one row of 20 per panel), the weights of one
     panel and the panel width, so that the integral of f over s in
     [0, tau] is ``0.5 * width * sum(weights * f(s(u)) * scale * exp(u))``.
     A boundary layer of width ~scale at s = 0 gets as many nodes as the
-    rest of the interval.  The rule on [0, 1] is built once per
-    (panels, order), at its first use.
+    rest of the interval.  The rule on [0, panels] is built once per
+    number of panels, at its first use.
     """
-    key = (panels, order)
-    if key not in _UNIT_PANELS:
-        nodes, weights = np.polynomial.legendre.leggauss(order)
-        _UNIT_PANELS[key] = (np.arange(panels)[:, None] + 0.5 * (nodes + 1.0),
-                             weights)
-    offsets, weights = _UNIT_PANELS[key]
+    if panels not in _UNIT_PANELS:
+        nodes, weights = np.polynomial.legendre.leggauss(20)
+        offsets = np.arange(panels)[:, None] + 0.5 * (nodes + 1.0)
+        offsets.flags.writeable = weights.flags.writeable = False  # shared
+        _UNIT_PANELS[panels] = offsets, weights
+    offsets, weights = _UNIT_PANELS[panels]
     width = math.log1p(tau / scale) / panels
     return offsets * width, weights, width
 
@@ -358,7 +363,7 @@ class _JumpSpread:
         else:
             lo = gaussian_root(self.m)
             hi = gaussian_root(self.m + self.rate * self.sizes.min())
-        alpha = math.sqrt(lo * hi)
+        alpha, last = math.sqrt(lo * hi), hi - lo
         for _ in range(200):
             _, k1, k2 = self.cumulants(side * alpha)
             slope = side * k1 - k / alpha
@@ -367,11 +372,13 @@ class _JumpSpread:
             else:
                 lo = alpha
             step = alpha - slope / (k2 + k / alpha**2)
-            if not lo < step < hi:  # also nan
+            # bisect where Newton leaves the bracket (or is nan) or crawls,
+            # as on the exponential wall of a large jump
+            if not (lo < step < hi and abs(step - alpha) < 0.5 * last):
                 step = math.sqrt(lo * hi) if hi > 2.0 * lo else 0.5 * (lo + hi)
             if abs(step - alpha) <= 1e-13 * alpha or hi - lo <= 1e-13 * hi:
                 return step
-            alpha = step
+            alpha, last = step, abs(step - alpha)
         raise ValueError("the saddle point search did not converge")
 
     def contour(self, k: int, side: int) -> float:
@@ -384,7 +391,8 @@ class _JumpSpread:
         integrand at omega = 0, where phi(a) = K(side a) - k log a, and h
         is the largest over a few d.  |M| falls at least like
         e^{-V omega^2 / 2}, which bounds the range; summing stops earlier
-        once a block of frequencies is below 1e-16 of the first.
+        once a block of frequencies is below 1e-16 of the first.  A state
+        that needs more than ``_MAX_FREQUENCIES`` is refused.
         """
         alpha = self._saddle(k, side)
         sigma = side * alpha
@@ -399,14 +407,14 @@ class _JumpSpread:
         phi = self.cumulants(side * shifted)[0] - k * np.log(shifted)
         growth = np.maximum(phi[:d.size], phi[d.size:]) - log_scale
         h = float(np.max(2.0 * math.pi * d / (growth - _LOG_EPS)))
-        n = math.ceil(math.sqrt(-2.0 * _LOG_EPS / self.v) / h) + 1
+        limit = math.sqrt(-2.0 * _LOG_EPS / self.v)
 
         tilted = np.exp(sigma * self.sizes) * self.weights
         base = tilted.sum()
         numerator = 2.0 if k == 3 else 1.0
         total = peak = 0.0
-        for start in range(0, n, _CONTOUR_BLOCK):
-            omega = h * np.arange(start, min(n, start + _CONTOUR_BLOCK))
+        for start in range(0, _MAX_FREQUENCIES, _CONTOUR_BLOCK):
+            omega = h * np.arange(start, start + _CONTOUR_BLOCK)
             phase = np.outer(omega, self.sizes)
             transform = np.cos(phase) @ tilted + 1j * (np.sin(phase) @ tilted)
             s = sigma + 1j * omega
@@ -417,8 +425,14 @@ class _JumpSpread:
                 peak = abs(values[0])
                 values[0] *= 0.5
             total += values.real.sum()
-            if np.abs(values).max() < 1e-16 * peak:
+            if omega[-1] >= limit or np.abs(values).max() < 1e-16 * peak:
                 break
+        else:
+            raise ValueError(
+                f"the jump bound needs more than {_MAX_FREQUENCIES} "
+                f"frequencies at this state: the terminal spread's diffusion "
+                f"(sd {math.sqrt(self.v):.3g} MW) is narrow against its "
+                f"jumps (up to {-self.sizes.min():.3g} MW)")
         return float(np.exp(k0) * h * total / math.pi)
 
     def left_tail(self) -> tuple[float, float]:

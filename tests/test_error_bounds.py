@@ -489,6 +489,18 @@ class TestJumpBound:
         assert rep.shortfall_probability == 1.0
         assert slow <= 3.0 * fast, (slow, fast)
 
+    def test_narrow_diffusion_against_large_jumps_is_refused(
+            self, table_params, jumps_negative):
+        """1 ms before delivery at table13's parameters the diffusion's sd
+        is 0.26 MW against jumps of 5000 MW, and the contour integral would
+        need more than 2**17 frequencies: refused, not left running."""
+        tau = 1e-3
+        y = _y_at(3.0, tau, 50_000.0, table_params, jumps_negative)
+        with pytest.raises(ValueError, match="needs more than 131072 "
+                                             "frequencies"):
+            error_bounds.error_bound_jump(tau, 50_000.0, y, table_params,
+                                          jumps_negative)
+
 
 def _y_at(z, tau, spread, params, jumps):
     """The price y at which m_lambda / sqrt(V) = z; m_lambda is affine in y."""
