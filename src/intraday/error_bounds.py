@@ -58,7 +58,7 @@ _JUMP_PANELS = 8
 
 #: Target of the contour integrals' trapezoid and truncation errors, relative
 #: to the integrand at the saddle point.
-_LOG_EPS = math.log(1e-16)
+_EPS = 1e-16
 
 #: Frequencies evaluated at once by the contour integrals, and at most in
 #: all (about 1.5 s): a Fourier integral resolves the narrowest feature of
@@ -391,7 +391,7 @@ class _JumpSpread:
         integrand at omega = 0, where phi(a) = K(side a) - k log a, and h
         is the largest over a few d.  |M| falls at least like
         e^{-V omega^2 / 2}, which bounds the range; summing stops earlier
-        once a block of frequencies is below 1e-16 of the first.  A state
+        once a block of frequencies is below ``_EPS`` of the first.  A state
         that needs more than ``_MAX_FREQUENCIES`` is refused.
         """
         alpha = self._saddle(k, side)
@@ -400,14 +400,15 @@ class _JumpSpread:
         log_scale = k0 - k * math.log(alpha)
         if log_scale < -800.0:  # underflows with any step and range
             return 0.0
+        digits = -math.log(_EPS)
         d = np.array([0.25, 0.5, 1.0, 2.0]) * math.sqrt(
-            -2.0 * _LOG_EPS / (k2 + k / alpha**2))
+            2.0 * digits / (k2 + k / alpha**2))
         d = np.append(d[d < 0.9 * alpha], [0.5 * alpha, 0.9 * alpha])
         shifted = np.concatenate([alpha + d, alpha - d])
         phi = self.cumulants(side * shifted)[0] - k * np.log(shifted)
         growth = np.maximum(phi[:d.size], phi[d.size:]) - log_scale
-        h = float(np.max(2.0 * math.pi * d / (growth - _LOG_EPS)))
-        limit = math.sqrt(-2.0 * _LOG_EPS / self.v)
+        h = float(np.max(2.0 * math.pi * d / (growth + digits)))
+        limit = math.sqrt(2.0 * digits / self.v)
 
         tilted = np.exp(sigma * self.sizes) * self.weights
         base = tilted.sum()
@@ -425,7 +426,7 @@ class _JumpSpread:
                 peak = abs(values[0])
                 values[0] *= 0.5
             total += values.real.sum()
-            if omega[-1] >= limit or np.abs(values).max() < 1e-16 * peak:
+            if omega[-1] >= limit or np.abs(values).max() < _EPS * peak:
                 break
         else:
             raise ValueError(
