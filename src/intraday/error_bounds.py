@@ -12,8 +12,9 @@ yields the explicit error bound
 and the shortfall probability ``Phi(-m / sqrt(V))``.  This module provides
 numerically stable evaluation of psi (including far tails and log-domain
 values for asymptotic-rate checks), the closed-form variance integral via
-partial fractions, the jump-model extensions, and the limiting exponential
-rate constants.
+partial fractions, the jump-model extensions (the jump bound as
+saddle-point contour integrals), and the limiting exponential rate
+constants.
 
 Phi(-z) is ``scipy.special.ndtr(-z)`` and phi(z) is
 ``exp(-z**2 / 2) / sqrt(2 pi)`` on a numpy value: the bodies of

@@ -532,10 +532,11 @@ def _few_jumps_reference(tau, spread, y, params, jumps, n_max):
     v = error_bounds.variance_spread(tau, params)
     with mpmath.workdps(30):
         nu, gamma, rr = map(mpmath.mpf, (params.nu, params.gamma, r))
-        d_minus, p_minus = map(mpmath.mpf, (jumps.delta_minus, jumps.pi_minus))
+        d_minus, pi_minus = map(mpmath.mpf,
+                                (jumps.delta_minus, jumps.pi_minus))
         m, sqrt_v, tau = mpmath.mpf(m), mpmath.sqrt(v), mpmath.mpf(tau)
         scale = 2 * gamma / (rr + nu)
-        j_inf = (d_minus * nu + p_minus) / (rr + nu)
+        j_inf = (d_minus * nu + pi_minus) / (rr + nu)
         u_max = mpmath.log1p(tau / scale)
         rate = jumps.lam * jumps.p_minus * tau
 
