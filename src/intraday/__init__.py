@@ -10,4 +10,9 @@ verification oracle (:mod:`intraday.oracle`) and the ``intraday`` command
 (:mod:`intraday.cli`).  Importing the package imports none of them.
 """
 
+import logging
+
 __version__ = "0.1.0"
+
+# library code logs under "intraday"; the application chooses the handlers
+logging.getLogger("intraday").addHandler(logging.NullHandler())

@@ -18,19 +18,26 @@ times and jump signs, so results are bit-identical for a fixed seed,
 independent of batch size: a path's trajectory depends only on its id.
 
 Paths are simulated in chunks of at most ``_CHUNK``.  A chunk holds its
-noise and jump events.  The noise increments are stored time-major, shape
-(n_steps, n): row k holds step k of every path, so each Euler step reads
-contiguous rows.  Each path's normals are drawn into a small path-major
-block, scaled there to the price and demand increments ``sigma0 dW`` and
-``sigma_d dB``, and transposed into place.  The jump events are flat
-arrays sorted by grid node, one event per (node, path) with jumps, so a
-step touches only the paths that jump at its node; the jump draws of a
-batch of paths are merged into events at once.  The recorded ``PathSet``
-arrays stay path-major, shape (n_paths, n_recorded).
+jump events and one window of ``_WINDOW`` steps of noise, so its working
+set does not grow with the number of steps.  The noise increments are
+stored time-major, shape (window, n): row j holds step k0 + j of every
+path, where k0 is the window's first step, so each Euler step reads a
+contiguous row.  At each window's first step, each path's next normals
+are drawn into a small path-major block, scaled there to the price and
+demand increments ``sigma0 dW`` and ``sigma_d dB``, and copied
+transposed into the window.  A path's two normal streams
+carry on from window to window, which draws the bits of one call over
+the whole horizon.  The jump events are flat arrays sorted by grid node,
+one event per (node, path) with jumps, so a step touches only the paths
+that jump at its node; the first jump draws of a block of paths take one
+array call each, and the draws of a batch of paths are merged into
+events at once.  The recorded ``PathSet`` arrays stay path-major, shape
+(n_paths, n_recorded).
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,13 +48,25 @@ import numpy as np
 from . import closed_form, model
 from .model import JumpParams, MarketState, ModelParams, check_seed
 
+logger = logging.getLogger(__name__)
+
 #: Paths are processed in fixed-size blocks to bound the size of the
 #: per-chunk noise arrays.
 _CHUNK = 2048
 
+#: Steps of noise a chunk holds at a time.
+_WINDOW = 360
+
 #: Paths whose normals are drawn into one path-major block before it is
-#: transposed into the time-major chunk arrays.
+#: transposed into the time-major window; paths whose first jump draws
+#: take one array call.
 _BLOCK = 64
+
+#: Bytes a kept generator holds (tracemalloc: 817 per ``_stream``).
+_STREAM_BYTES = 1024
+#: Bytes a chunk holds per grid node: the ``bounds`` list (a slot and an
+#: int object) with the array it is built from, and ``record_pos``.
+_NODE_BYTES = 56
 
 #: Streams per path in the counter-based RNG keying.
 _STREAM_W, _STREAM_W_PERP, _STREAM_JUMP_TIMES, _STREAM_JUMP_SIGNS = range(4)
@@ -190,40 +209,76 @@ def _stream(seed: int, path_id: int, stream_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
 
 
-def _draw_jumps(seed: int, path_id: int, jumps: JumpParams,
-                horizon: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact exponential jump times on [0, horizon), the running sum of gaps
-    drawn in doubling batches, and +1/-1 signs."""
-    gen_t = _stream(seed, path_id, _STREAM_JUMP_TIMES)
-    times = np.cumsum(gen_t.exponential(1.0 / jumps.lam, size=8))
-    while times[-1] < horizon:
-        gaps = gen_t.exponential(1.0 / jumps.lam, size=times.size)
-        gaps[0] += times[-1]  # cumsum adds in order: the running sum's bits
-        times = np.concatenate((times, np.cumsum(gaps, out=gaps)))
-    # a copy: the batch of paths holds no draws past the horizon
-    times = times[:np.searchsorted(times, horizon)].copy()
-    uniforms = _stream(seed, path_id, _STREAM_JUMP_SIGNS).random(size=times.size)
-    return times, np.where(uniforms < jumps.p_plus, 1, -1)
+def _draw_jumps(seed: int, first: int, jumps: JumpParams, horizon: float,
+                width: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact exponential jump times on [0, horizon) and +1/-1 signs of the
+    paths ``first, ..., first + width - 1``, flat in path order, and each
+    path's jump count.
+
+    Each path's first 8 gaps and sign uniforms are drawn into one row of a
+    block; the running sums and the in-horizon mask take one call for the
+    block.  A path whose 8th jump is inside the horizon draws on, the
+    running sum of its gaps in doubling batches.
+    """
+    scale = 1.0 / jumps.lam
+    streams = [(_stream(seed, pid, _STREAM_JUMP_TIMES),
+                _stream(seed, pid, _STREAM_JUMP_SIGNS))
+               for pid in range(first, first + width)]
+    gaps, uniforms = np.empty((2, width, 8))
+    for (gen_t, gen_s), gap_row, uniform_row in zip(streams, gaps, uniforms):
+        gen_t.standard_exponential(out=gap_row)
+        gen_s.random(out=uniform_row)
+    gaps *= scale  # the bits of exponential(scale)
+    times = np.cumsum(gaps, axis=1, out=gaps)  # in order along each row
+    inside = times < horizon
+    counts = inside.sum(axis=1)
+    parts_t, parts_u, done = [], [], 0  # rows before ``done`` are in parts
+    for i in np.flatnonzero(inside[:, -1]).tolist():
+        gen_t, gen_s = streams[i]
+        path = times[i]
+        while path[-1] < horizon:
+            more = gen_t.exponential(scale, size=path.size)
+            more[0] += path[-1]  # cumsum adds in order: the running sum's bits
+            path = np.concatenate((path, np.cumsum(more, out=more)))
+        path = path[:np.searchsorted(path, horizon)]
+        counts[i] = path.size
+        parts_t += [times[done:i][inside[done:i]], path]
+        parts_u += [uniforms[done:i][inside[done:i]], uniforms[i],
+                    gen_s.random(size=path.size - 8)]
+        done = i + 1
+    # copies: the batch of paths holds no draws past the horizon
+    parts_t.append(times[done:][inside[done:]])
+    parts_u.append(uniforms[done:][inside[done:]])
+    signs = np.where(np.concatenate(parts_u) < jumps.p_plus, 1, -1)
+    return np.concatenate(parts_t), signs, counts
+
+
+def _jump_block(draws: float, n_steps: int) -> int:
+    """Paths that draw their jumps together: ``_BLOCK`` when their
+    ``draws`` expected draws each fit in one batch of ``n_steps``, else 1."""
+    return _BLOCK if _BLOCK * draws <= n_steps else 1
 
 
 def _merge_batch(flags: np.ndarray, record_pos: np.ndarray, dt: float,
-                 jumps: JumpParams, first: int, times: list, signs: list
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                 jumps: JumpParams, first: int, times: list, signs: list,
+                 counts: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Merge the jump draws of a batch of paths into events.
 
-    ``times`` and ``signs`` hold the draws of the paths in columns
-    ``first, first + 1, ...`` of the chunk, and are emptied.  Adds the
-    signed counts at recorded nodes to ``flags``, the chunk's rows of
-    ``jump_flag``, and returns ``(key, jump_d, jump_y)`` sorted by key.
+    ``times``, ``signs`` and ``counts`` hold ``_draw_jumps`` results of the
+    paths in columns ``first, first + 1, ...`` of the chunk, and are
+    emptied.  Adds the signed counts at recorded nodes to ``flags``, the
+    chunk's rows of ``jump_flag``, and returns ``(key, jump_d, jump_y)``
+    sorted by key.
     """
     n, n_steps = flags.shape[0], record_pos.size - 1
-    column = np.repeat(np.arange(first, first + len(times)),
-                       [path_times.size for path_times in times])
+    per_path = np.concatenate(counts)
+    counts.clear()
+    column = np.repeat(np.arange(first, first + per_path.size), per_path)
     sign = np.concatenate(signs)
     # first grid node at or after the exact jump time
     nodes = np.minimum(
         np.ceil(np.concatenate(times) / dt - 1e-12).astype(np.int64), n_steps)
-    times.clear()  # the per-path arrays go before the merge peaks
+    times.clear()  # the drawn arrays go before the merge peaks
     signs.clear()
     pos = record_pos[nodes]
     hit = pos >= 0
@@ -247,31 +302,33 @@ def _jump_events(paths: PathSet, rows: slice, recorded: list[int],
     event per (node, path) that has jumps, its demand and price jumps
     summed in draw order.  The signed jump counts at recorded nodes go
     straight into ``paths.jump_flag``.  Each path draws from its own
-    streams, in path order, and the draws are merged per batch of paths:
-    a batch is merged once it holds more than ``n_steps`` draws, the most
-    events one path can have.
+    streams, and the draws are merged per batch of paths: a batch is
+    merged once it holds more than ``n_steps`` draws, the most events one
+    path can have.  Paths draw in blocks of ``_jump_block`` paths.
     """
     if jumps is None:
         return np.empty(0, np.int64), np.empty(0), np.empty(0)
     n, n_steps = rows.stop - rows.start, recorded[-1]
     record_pos = np.full(n_steps + 1, -1)
     record_pos[recorded] = np.arange(len(recorded))
+    width = _jump_block(jumps.lam * horizon, n_steps)
     keys, d_parts, y_parts = [], [], []
-    times, signs = [], []  # the batch, one array per path
+    batch = ([], [], [])  # times, signs and counts, one array per block
     first, held = 0, 0  # the batch's first column and its draw count
-    for i, pid in enumerate(range(rows.start, rows.stop)):
-        path_times, path_signs = _draw_jumps(paths.seed, pid, jumps, horizon)
-        times.append(path_times)
-        signs.append(path_signs)
-        held += path_times.size
-        if held > n_steps or i == n - 1:
+    for lo in range(0, n, width):
+        hi = min(lo + width, n)
+        for part, drawn in zip(batch, _draw_jumps(
+                paths.seed, rows.start + lo, jumps, horizon, hi - lo)):
+            part.append(drawn)
+        held += batch[0][-1].size
+        if held > n_steps or hi == n:
             key, jump_d, jump_y = _merge_batch(
                 paths.jump_flag[rows], record_pos, paths.dt, jumps, first,
-                times, signs)
+                *batch)
             keys.append(key)
             d_parts.append(jump_d)
             y_parts.append(jump_y)
-            first, held = i + 1, 0
+            first, held = hi, 0
 
     order = np.argsort(np.concatenate(keys))
 
@@ -297,26 +354,42 @@ def _simulate_chunk(paths: PathSet, rows: slice, recorded: list[int],
     # events of node k are key[bounds[k]:bounds[k + 1]]
     bounds = np.searchsorted(key, np.arange(n_steps + 2) * n).tolist()
 
-    # time-major: row k of dw/db is step k of every path, stored as the
-    # price and demand increments sigma0 dW and sigma_d dB, with
-    # dB = sqrt(1 - rho^2) dW_perp + rho dW
-    dw, db = noise = np.empty((2, n_steps, n))
-    block = np.empty((2, min(_BLOCK, n), n_steps))
-    for first in range(0, n, _BLOCK):
-        width = min(_BLOCK, n - first)
-        b0, b1 = block[:, :width]
-        for i in range(width):
-            pid = rows.start + first + i
-            _stream(seed, pid, _STREAM_W).standard_normal(out=b0[i])
-            _stream(seed, pid, _STREAM_W_PERP).standard_normal(out=b1[i])
-        b0 *= math.sqrt(dt)
-        b1 *= math.sqrt(dt)
-        b1 *= math.sqrt(1.0 - params.rho**2)
-        for r in range(0, width, 8):  # no block-sized temporary
-            b1[r:r + 8] += params.rho * b0[r:r + 8]
-        b1 *= params.sigma_d
-        b0 *= params.sigma0
-        noise[:, :, first:first + width] = block[:, :width].transpose(0, 2, 1)
+    # time-major: row j of dw/db is step k0 + j of every path in the window
+    # that starts at step k0, stored as the price and demand increments
+    # sigma0 dW and sigma_d dB, with dB = sqrt(1 - rho^2) dW_perp + rho dW
+    window = min(_WINDOW, n_steps)
+    dw, db = np.empty((2, window, n))
+    block = np.empty((2, min(_BLOCK, n), window))
+
+    def normal_streams(column):
+        pid = rows.start + column
+        return (_stream(seed, pid, _STREAM_W),
+                _stream(seed, pid, _STREAM_W_PERP))
+
+    # with one window, each path's streams are made when drawn and dropped
+    kept = [normal_streams(c) for c in range(n)] if n_steps > window else None
+
+    def draw(steps):
+        """The next ``steps`` increments of every path, into the window."""
+        for first in range(0, n, _BLOCK):
+            width = min(_BLOCK, n - first)
+            b0, b1 = block[:, :width, :steps]
+            for i in range(width):
+                gen_w, gen_p = kept[first + i] if kept else normal_streams(
+                    first + i)
+                gen_w.standard_normal(out=b0[i])
+                gen_p.standard_normal(out=b1[i])
+            b0 *= math.sqrt(dt)
+            b1 *= math.sqrt(dt)
+            b1 *= math.sqrt(1.0 - params.rho**2)
+            for r in range(0, width, 8):  # no block-sized temporary
+                b1[r:r + 8] += params.rho * b0[r:r + 8]
+            b1 *= params.sigma_d
+            b0 *= params.sigma0
+            # a strided copy: np.multiply with the window as ``out`` buffers
+            # its operands, and is slower
+            db[:steps, first:first + width] = b1.T
+            dw[:steps, first:first + width] = b0.T
 
     x = np.full(n, start.x)
     # + 0.0 turns a -0.0 start into +0.0; later nodes cannot be -0.0
@@ -346,6 +419,9 @@ def _simulate_chunk(paths: PathSet, rows: slice, recorded: list[int],
             pos += 1
         if k == n_steps:
             break
+        row = k % window
+        if row == 0:
+            draw(min(window, n_steps - k))
         # in place, in the operation order of
         #   running_cost += q * (y + gamma q) dt,  x += q dt,
         #   y = y + nu q dt + dw,  d = d + mu dt + db,  p_hat += dw;
@@ -360,10 +436,10 @@ def _simulate_chunk(paths: PathSet, rows: slice, recorded: list[int],
         np.multiply(q, params.nu, out=tmp)
         tmp *= dt
         y += tmp
-        y += dw[k]
+        y += dw[row]
         d += params.mu * dt
-        d += db[k]
-        p_hat += dw[k]
+        d += db[row]
+        p_hat += dw[row]
 
     paths.xi[rows] = xi
     paths.running_cost[rows] = running_cost
@@ -376,8 +452,9 @@ def check_grid(params: ModelParams, jumps: JumpParams | None, n_paths: int,
     Rejects a non-positive path count, a ``dt`` that is not finite or does
     not divide the horizon, a ``dt`` too coarse for the jumps, a bad
     ``record_every``, and a run whose recorded arrays plus one chunk's
-    noise and jump events, or one batch of jump draws, exceed physical
-    memory.  Returns the number of Euler steps.
+    window of noise, kept streams, per-node arrays and jump events, or one
+    batch of jump draws, exceed physical memory.  Returns the number of
+    Euler steps.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
@@ -395,19 +472,23 @@ def check_grid(params: ModelParams, jumps: JumpParams | None, n_paths: int,
         raise ValueError("record_every must be positive or None")
     n_recorded = 1 if record_every is None else -(-n_steps // record_every) + 1
     draws = 0.0 if jumps is None else jumps.lam * params.horizon
-    # recorded arrays (x, y, d, p_hat, q, jump_flag) plus one chunk's noise
-    # (dw, db) and its jump events, at most one per node and path, which
-    # peak at 5 items each while being sorted: 8-byte items throughout
-    # (tracemalloc: 2.15 noise units at 1.5 jumps a day, 5.49 at 1e4)
+    # recorded arrays (x, y, d, p_hat, q, jump_flag) plus one chunk's
+    # window of noise (dw, db) and its jump events, at most one per node
+    # and path, which peak at 5 items each while being sorted: 8-byte items
+    # throughout; then the chunk's two streams a path when it has more than
+    # one window, and its per-node arrays
+    chunk, window = min(n_paths, _CHUNK), min(_WINDOW, n_steps)
     events = math.ceil(min(draws, n_steps + 1))
-    needed = (n_paths * n_recorded * 6
-              + min(n_paths, _CHUNK) * (2 * n_steps + 5 * events)) * 8
+    needed = ((n_paths * n_recorded * 6 + chunk * (2 * window + 5 * events))
+              * 8 + (2 * chunk * _STREAM_BYTES if n_steps > window else 0)
+              + (n_steps + 2) * _NODE_BYTES)
     model.check_memory(needed, f"{n_paths} paths at dt = {dt:g} s")
     # a batch of jump draws holds at most n_steps draws of earlier paths
-    # plus one path's; they peak at 98 B each while merged (tracemalloc,
-    # one path of 1e5 and 1e6 draws): the per-path arrays, their
+    # plus one block's; they peak at 98 B each while merged (tracemalloc,
+    # one path of 1e5 and 1e6 draws): the drawn arrays, their
     # concatenation, and the node and np.unique temporaries
-    batch = n_steps + draws if draws > 0.0 else 0.0
+    block = _jump_block(draws, n_steps) * draws
+    batch = n_steps + block if draws > 0.0 else 0.0
     model.check_memory(104 * batch, f"{draws:.3g} expected jump draws per "
                        f"path (merged {batch:.3g} at a time)")
     return n_steps
@@ -446,6 +527,10 @@ def sample_paths(params: ModelParams, jumps: JumpParams | None, policy: Policy,
                     jump_flag=np.zeros(shape, dtype=np.int64),
                     xi=np.empty(n_paths), running_cost=np.empty(n_paths),
                     production_index=production_index, dt=dt, seed=seed)
+    chunk, window = min(n_paths, _CHUNK), min(_WINDOW, n_steps)
+    logger.debug("%d paths, %d steps, %d chunks, window of %d steps, "
+                 "%d noise bytes per chunk", n_paths, n_steps,
+                 -(-n_paths // _CHUNK), window, 2 * window * chunk * 8)
     for first in range(0, n_paths, _CHUNK):
         rows = slice(first, min(first + _CHUNK, n_paths))
         _simulate_chunk(paths, rows, recorded, params, jumps, policy, start)

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import logging
 import math
 import tracemalloc
 from dataclasses import replace
@@ -9,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from intraday import cli, closed_form, delay, simulate
+from intraday import cli, closed_form, delay, model, simulate
 from intraday.model import DAY, HOUR, JumpParams, ModelParams, load_param_file
 
 
@@ -265,6 +266,74 @@ class TestStreamContract:
             "c6e7d07e3e06d06f4fce55b66713c9a3ef9d48710f8e5a3e02f193e3c1cb7619")
 
 
+class TestNoiseWindow:
+    """A chunk draws its noise a window of ``_WINDOW`` steps at a time; a
+    path's streams carry on across windows with the bits of one call."""
+
+    def test_increments_across_window_boundaries(self, sim_params):
+        """Zero policy, no jumps, dt = 45 s: 1920 steps, five full windows
+        and a last one of 120 steps.  With nothing traded and no drift, Y
+        and D are the running sums of sigma0 dW and sigma_d dB."""
+        dt, n_steps = 45.0, 1920
+        assert n_steps > simulate._WINDOW and n_steps % simulate._WINDOW
+        p = sim_params
+        paths = simulate.sample_paths(p, None, simulate.zero_policy(p), 3, dt,
+                                      11)
+        for pid in range(3):
+            z = simulate._stream(11, pid, simulate._STREAM_W
+                                 ).standard_normal(n_steps)
+            z_perp = simulate._stream(11, pid, simulate._STREAM_W_PERP
+                                      ).standard_normal(n_steps)
+            dw = z * math.sqrt(dt)
+            db = (z_perp * math.sqrt(dt) * math.sqrt(1.0 - p.rho**2)
+                  + p.rho * dw) * p.sigma_d
+            dw *= p.sigma0
+            assert paths.y[pid, 1:].tobytes() == np.cumsum(dw).tobytes()
+            assert paths.p_hat[pid, 1:].tobytes() == np.cumsum(dw).tobytes()
+            assert paths.d[pid, 1:].tobytes() == np.cumsum(db).tobytes()
+
+    def test_single_window_with_jumps(self, sim_params, jumps_negative):
+        """A 2-hour horizon at dt = 60 s is 120 steps, less than a window,
+        so no stream is kept.  Price jumps of +-10 sum exactly, so Y is the
+        running sum of the jumps at each node and the sigma0 dW after it."""
+        params = replace(sim_params, horizon=2 * HOUR)
+        jumps = replace(jumps_negative, lam=20.0 / DAY)
+        n_steps = 120
+        assert n_steps < simulate._WINDOW
+        paths = simulate.sample_paths(params, jumps,
+                                      simulate.zero_policy(params), 8, 60.0, 5)
+        assert np.abs(paths.jump_flag).sum() > 0
+        for pid in range(8):
+            z = simulate._stream(5, pid, simulate._STREAM_W
+                                 ).standard_normal(n_steps)
+            dw = (z * math.sqrt(60.0) * params.sigma0).tolist()
+            y, expected = 0.0, []
+            for k, flag in enumerate(paths.jump_flag[pid].tolist()):
+                y += 10.0 * flag
+                expected.append(y)
+                if k < n_steps:
+                    y += dw[k]
+            assert paths.y[pid].tolist() == expected
+
+    def test_sample_paths_logs_its_working_set(self, sim_params, caplog):
+        assert any(isinstance(handler, logging.NullHandler) for handler
+                   in logging.getLogger("intraday").handlers)
+        caplog.set_level(logging.DEBUG, logger="intraday.simulate")
+        policy = simulate.zero_policy(sim_params)
+        simulate.sample_paths(sim_params, None, policy, 3, 1800.0, 0)
+        simulate.sample_paths(sim_params, None, policy, 2050, 60.0, 0,
+                              record_every=None)
+        records = [(r.name, r.levelno, r.getMessage())
+                   for r in caplog.records]
+        assert records == [
+            ("intraday.simulate", logging.DEBUG,
+             "3 paths, 48 steps, 1 chunks, window of 48 steps, "
+             "2304 noise bytes per chunk"),
+            ("intraday.simulate", logging.DEBUG,
+             "2050 paths, 1440 steps, 2 chunks, window of 360 steps, "
+             "11796480 noise bytes per chunk")]
+
+
 class TestGoldenPaths:
     """sha256 of all nine ``PathSet`` arrays for runs that stress how jumps
     are applied: several jumps at one node, jumps between recorded nodes,
@@ -357,13 +426,18 @@ class TestJumpDraws:
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("per_day, n_paths", [
-        (1.5, 640), (1e4, 20), (1e5, 4)])
+        (1.5, 640), (8.0, 64), (1e4, 20), (1e5, 4)])
     def test_matches_running_sum(self, jumps_negative, per_day, n_paths):
+        """All paths in one block; at 8 a day about half of them draw on
+        past their first 8 gaps."""
         jumps = replace(jumps_negative, lam=per_day / DAY)
-        for pid in range(n_paths):
+        times, signs, counts = simulate._draw_jumps(cli.DEFAULT_SEED, 0, jumps,
+                                                    DAY, n_paths)
+        cuts = np.cumsum(counts)[:-1]
+        for pid, ours in enumerate(zip(np.split(times, cuts),
+                                       np.split(signs, cuts))):
             self._assert_same(
-                simulate._draw_jumps(cli.DEFAULT_SEED, pid, jumps, DAY),
-                _running_sum_jumps(cli.DEFAULT_SEED, pid, jumps, DAY))
+                ours, _running_sum_jumps(cli.DEFAULT_SEED, pid, jumps, DAY))
 
     def test_jump_at_the_horizon_is_dropped(self, jumps_negative):
         """A jump time equal to the horizon is outside [0, horizon)."""
@@ -376,13 +450,10 @@ class TestJumpDraws:
 
 class TestMemory:
     @staticmethod
-    def _chunk_peak(params, jumps, n):
-        """Traced peak of one n-path chunk at dt = 60 s, in units of
-        n x n_steps 8-byte items (numpy reports its buffers to
-        tracemalloc)."""
+    def _traced_peak(params, jumps, n, dt):
+        """Traced peak bytes of one n-path chunk (numpy reports its buffers
+        to tracemalloc)."""
         policy = simulate.optimal_policy(params, jumps, constrained=False)
-        dt = 60.0
-        unit = n * round(params.horizon / dt) * 8
         simulate.sample_paths(params, jumps, policy, 2, dt, 1,
                               d0=5e4, y0=50.0, record_every=None)
         tracemalloc.start()
@@ -390,21 +461,59 @@ class TestMemory:
             before = tracemalloc.get_traced_memory()[0]
             simulate.sample_paths(params, jumps, policy, n, dt, 1,
                                   d0=5e4, y0=50.0, record_every=None)
-            peak = tracemalloc.get_traced_memory()[1] - before
+            return tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        return peak / unit
+
+    @classmethod
+    def _chunk_peak(cls, params, jumps, n):
+        """Traced peak of one n-path chunk at dt = 60 s, in units of
+        n x n_steps 8-byte items."""
+        unit = n * round(params.horizon / 60.0) * 8
+        return cls._traced_peak(params, jumps, n, 60.0) / unit
 
     @pytest.mark.parametrize("with_jumps", [True, False],
                              ids=["jumps", "no-jumps"])
     def test_chunk_working_set(self, sim_params, jumps_negative, with_jumps):
-        """One 1024-path chunk holds its time-major dW and dB, the drawing
-        block, whose rho dW term is added in 8-row slices so that no
-        block-sized temporary is made, and small per-step arrays; 1.5 jumps
-        a day add about 1500 events.  Measured 2.14 units without jumps,
-        2.15 with them."""
+        """One 1024-path chunk holds a window of 360 of the 1440 steps of
+        its time-major dW and dB (0.50 units), each path's two streams from
+        window to window (0.14), the drawing block, whose rho dW term is
+        added in 8-row slices so that no block-sized temporary is made, and
+        small per-step arrays; 1.5 jumps a day add about 1500 events.
+        Measured 0.69 units without jumps and 0.70 with them; whole-horizon
+        noise read 2.14 and 2.15."""
         jumps = jumps_negative if with_jumps else None
-        assert self._chunk_peak(sim_params, jumps, 1024) <= 2.25
+        assert self._chunk_peak(sim_params, jumps, 1024) <= 0.8
+
+    @pytest.mark.parametrize("with_jumps", [True, False],
+                             ids=["jumps", "no-jumps"])
+    def test_long_grid_is_bounded_by_the_window(self, sim_params,
+                                                jumps_negative, with_jumps):
+        """256 paths at dt = 10 s, 8640 steps: the peak is set by the
+        window of noise, 2 x 360 x 256 items, not by the horizon.  Measured
+        1.62 windows without jumps and 1.70 with them; whole-horizon noise
+        would be 24 windows alone (it read 30.5)."""
+        jumps = jumps_negative if with_jumps else None
+        window = 2 * 360 * 256 * 8
+        assert self._traced_peak(sim_params, jumps, 256, 10.0) <= 2 * window
+
+    @pytest.mark.parametrize("with_jumps", [True, False],
+                             ids=["jumps", "no-jumps"])
+    def test_grid_budget_grows_only_per_node(self, sim_params, jumps_negative,
+                                             with_jumps, monkeypatch):
+        """From dt = 60 s to dt = 1 s, the budget of a 4096-path run that
+        records only the terminal node grows by the per-node arrays alone:
+        a chunk's noise stays one window of 360 steps, and its kept
+        streams and jump events do not depend on dt."""
+        needed = {}
+        monkeypatch.setattr(model, "check_memory",
+                            lambda size, what: needed.setdefault(what, size))
+        jumps = jumps_negative if with_jumps else None
+        for dt in (60.0, 1.0):
+            simulate.check_grid(sim_params, jumps, 4096, dt, None)
+        growth = (needed["4096 paths at dt = 1 s"]
+                  - needed["4096 paths at dt = 60 s"])
+        assert growth == (86400 - 1440) * simulate._NODE_BYTES
 
     def test_saturated_jump_events(self, sim_params, jumps_negative):
         """1e4 jumps a day, about 7 per node: merged per batch of paths,
