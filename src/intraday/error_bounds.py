@@ -24,6 +24,7 @@ every value keeps the bits those would give.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -33,6 +34,8 @@ from scipy.special import ndtr
 
 from .model import (JumpParams, ModelParams, check_seed,
                     reduced_cost_coefficient)
+
+logger = logging.getLogger(__name__)
 
 #: Switch point between direct evaluation of psi and its tail expansion.
 #: Direct evaluation loses relative accuracy to cancellation as z grows:
@@ -61,10 +64,11 @@ _JUMP_PANELS = 8
 #: to the integrand at the saddle point.
 _EPS = 1e-16
 
-#: Frequencies evaluated at once by the contour integrals, and at most in
-#: all (about 1.5 s): a Fourier integral resolves the narrowest feature of
-#: the law, the diffusion's sd sqrt(V), over the range of the jumps, which
-#: takes many frequencies where V -> 0 near delivery.
+#: Frequencies evaluated at once by the contour integrals, the rows of
+#: their phase table, and at most in all (about 0.2 s): a Fourier integral
+#: resolves the narrowest feature of the law, the diffusion's sd sqrt(V),
+#: over the range of the jumps, which takes many frequencies where V -> 0
+#: near delivery.
 _CONTOUR_BLOCK = 32
 _MAX_FREQUENCIES = 2**17
 
@@ -328,19 +332,24 @@ class _JumpSpread:
                  sizes: np.ndarray, weights: np.ndarray):
         self.m, self.v, self.rate = mean, variance, rate
         self.sizes, self.weights = sizes, weights
+        self.squares = sizes**2
 
-    def cumulants(self, sigma):
-        """K = log M and its first two derivatives at real ``sigma``."""
+    def log_mgf(self, sigma):
+        """K = log M at real ``sigma``, a number or an array."""
         sigma = np.asarray(sigma, dtype=float)
         tilted = np.exp(sigma[..., None] * self.sizes) * self.weights
-        k0 = (sigma * self.m + 0.5 * self.v * sigma**2
-              + self.rate * (tilted.sum(axis=-1) - 1.0))
-        k1 = self.m + self.v * sigma + self.rate * (tilted @ self.sizes)
-        k2 = self.v + self.rate * (tilted @ self.sizes**2)
-        return k0, k1, k2
+        return (sigma * self.m + 0.5 * self.v * sigma**2
+                + self.rate * (tilted.sum(axis=-1) - 1.0))
 
-    def _saddle(self, k: int, side: int):
-        """alpha > 0 at the minimum of K(side alpha) - k log alpha.
+    def slopes(self, sigma: float) -> tuple[float, float]:
+        """K' and K'' at a real number ``sigma``."""
+        tilted = np.exp(sigma * self.sizes) * self.weights
+        return (self.m + self.v * sigma + self.rate * (tilted @ self.sizes),
+                self.v + self.rate * (tilted @ self.squares))
+
+    def _saddle(self, k: int, side: int) -> tuple[float, int]:
+        """alpha > 0 at the minimum of K(side alpha) - k log alpha, and the
+        number of evaluations of K' and K'' that found it.
 
         Its derivative g(alpha) = side K'(side alpha) - k / alpha increases.
         Without jumps, g's root is that of v alpha^2 + side m alpha - k.
@@ -357,16 +366,18 @@ class _JumpSpread:
 
         if side < 0:
             hi = lo = gaussian_root(self.m)
-            shift = 1
-            while -self.cumulants(-lo)[1] - k / lo >= 0:
+            shift = bracketing = 1
+            while -self.slopes(-lo)[0] - k / lo >= 0:
                 hi, lo = lo, max(math.ldexp(lo, -shift), 5e-324)
                 shift *= 2
+                bracketing += 1
         else:
             lo = gaussian_root(self.m)
             hi = gaussian_root(self.m + self.rate * self.sizes.min())
+            bracketing = 0
         alpha, last = math.sqrt(lo * hi), hi - lo
-        for _ in range(200):
-            _, k1, k2 = self.cumulants(side * alpha)
+        for newton in range(1, 201):
+            k1, k2 = self.slopes(side * alpha)
             slope = side * k1 - k / alpha
             if slope > 0:
                 hi = alpha
@@ -378,7 +389,7 @@ class _JumpSpread:
             if not (lo < step < hi and abs(step - alpha) < 0.5 * last):
                 step = math.sqrt(lo * hi) if hi > 2.0 * lo else 0.5 * (lo + hi)
             if abs(step - alpha) <= 1e-13 * alpha or hi - lo <= 1e-13 * hi:
-                return step
+                return step, bracketing + newton
             alpha, last = step, abs(step - alpha)
         raise ValueError("the saddle point search did not converge")
 
@@ -394,31 +405,46 @@ class _JumpSpread:
         e^{-V omega^2 / 2}, which bounds the range; summing stops earlier
         once a block of frequencies is below ``_EPS`` of the first.  A state
         that needs more than ``_MAX_FREQUENCIES`` is refused.
+
+        The jump transform E[e^{(sigma + i omega) J}] of the block of
+        frequencies omega = h (start + j), j < ``_CONTOUR_BLOCK``, is
+        ``table @ (e^{i h start J} tilted)``, with the phase table
+        ``table[j, m] = e^{i h j J_m}`` built once per contour and
+        ``tilted = e^{sigma J} weights``: a block takes one complex
+        exponential per jump size and one product with the table.
         """
-        alpha = self._saddle(k, side)
+        alpha, evaluations = self._saddle(k, side)
         sigma = side * alpha
-        k0, _, k2 = self.cumulants(sigma)
+        k0 = self.log_mgf(sigma)
+        k2 = self.slopes(sigma)[1]
         log_scale = k0 - k * math.log(alpha)
         if log_scale < -800.0:  # underflows with any step and range
+            self._log(k, side, alpha, math.nan, 0, evaluations)
             return 0.0
         digits = -math.log(_EPS)
         d = np.array([0.25, 0.5, 1.0, 2.0]) * math.sqrt(
             2.0 * digits / (k2 + k / alpha**2))
         d = np.append(d[d < 0.9 * alpha], [0.5 * alpha, 0.9 * alpha])
         shifted = np.concatenate([alpha + d, alpha - d])
-        phi = self.cumulants(side * shifted)[0] - k * np.log(shifted)
+        phi = self.log_mgf(side * shifted) - k * np.log(shifted)
         growth = np.maximum(phi[:d.size], phi[d.size:]) - log_scale
         h = float(np.max(2.0 * math.pi * d / (growth + digits)))
         limit = math.sqrt(2.0 * digits / self.v)
 
         tilted = np.exp(sigma * self.sizes) * self.weights
         base = tilted.sum()
+        steps = np.arange(_CONTOUR_BLOCK)
+        table = np.exp(1j * np.outer(h * steps, self.sizes))
         numerator = 2.0 if k == 3 else 1.0
         total = peak = 0.0
         for start in range(0, _MAX_FREQUENCIES, _CONTOUR_BLOCK):
-            omega = h * np.arange(start, start + _CONTOUR_BLOCK)
-            phase = np.outer(omega, self.sizes)
-            transform = np.cos(phase) @ tilted + 1j * (np.sin(phase) @ tilted)
+            omega = h * (start + steps)
+            # einsum, not @: OpenBLAS may spread a complex product of this
+            # size over threads, which took up to 20 times as long on a
+            # loaded host
+            transform = np.einsum(
+                "jm,m->j", table,
+                np.exp(1j * (h * start) * self.sizes) * tilted)
             s = sigma + 1j * omega
             values = numerator / (side * s) ** k * np.exp(
                 1j * omega * self.m + self.v * omega * (1j * sigma - 0.5 * omega)
@@ -435,7 +461,15 @@ class _JumpSpread:
                 f"frequencies at this state: the terminal spread's diffusion "
                 f"(sd {math.sqrt(self.v):.3g} MW) is narrow against its "
                 f"jumps (up to {-self.sizes.min():.3g} MW)")
+        self._log(k, side, alpha, h, start + _CONTOUR_BLOCK, evaluations)
         return float(np.exp(k0) * h * total / math.pi)
+
+    @staticmethod
+    def _log(k, side, alpha, h, frequencies, evaluations):
+        logger.debug("contour k = %d, side %+d: alpha %.6g, step h %.6g, "
+                     "%d frequencies, %d evaluations of K' and K'' in the "
+                     "saddle search", k, side, alpha, h, frequencies,
+                     evaluations)
 
     def left_tail(self) -> tuple[float, float]:
         """E[(G^-)^2] and P(G < 0).  For E[G] < 0 the left contour's alpha

@@ -67,6 +67,11 @@ _STREAM_BYTES = 1024
 #: Bytes a chunk holds per grid node: the ``bounds`` list (a slot and an
 #: int object) with the array it is built from, and ``record_pos``.
 _NODE_BYTES = 56
+#: Bytes a run holds per recorded node besides the recorded arrays: the
+#: ``recorded`` list (a slot and an int object), ``paths.times`` with the
+#: int array it is built from, and the two index arrays that put jump
+#: counts at recorded nodes.
+_RECORD_BYTES = 64
 
 #: Streams per path in the counter-based RNG keying.
 _STREAM_W, _STREAM_W_PERP, _STREAM_JUMP_TIMES, _STREAM_JUMP_SIGNS = range(4)
@@ -451,10 +456,10 @@ def check_grid(params: ModelParams, jumps: JumpParams | None, n_paths: int,
 
     Rejects a non-positive path count, a ``dt`` that is not finite or does
     not divide the horizon, a ``dt`` too coarse for the jumps, a bad
-    ``record_every``, and a run whose recorded arrays plus one chunk's
-    window of noise, kept streams, per-node arrays and jump events, or one
-    batch of jump draws, exceed physical memory.  Returns the number of
-    Euler steps.
+    ``record_every``, and a run whose recorded arrays and per-record lists
+    plus one chunk's window of noise, kept streams, per-node arrays and
+    jump events, or one batch of jump draws, exceed physical memory.
+    Returns the number of Euler steps.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
@@ -476,12 +481,12 @@ def check_grid(params: ModelParams, jumps: JumpParams | None, n_paths: int,
     # window of noise (dw, db) and its jump events, at most one per node
     # and path, which peak at 5 items each while being sorted: 8-byte items
     # throughout; then the chunk's two streams a path when it has more than
-    # one window, and its per-node arrays
+    # one window, its per-node arrays and the run's per-record ones
     chunk, window = min(n_paths, _CHUNK), min(_WINDOW, n_steps)
     events = math.ceil(min(draws, n_steps + 1))
     needed = ((n_paths * n_recorded * 6 + chunk * (2 * window + 5 * events))
               * 8 + (2 * chunk * _STREAM_BYTES if n_steps > window else 0)
-              + (n_steps + 2) * _NODE_BYTES)
+              + (n_steps + 2) * _NODE_BYTES + n_recorded * _RECORD_BYTES)
     model.check_memory(needed, f"{n_paths} paths at dt = {dt:g} s")
     # a batch of jump draws holds at most n_steps draws of earlier paths
     # plus one block's; they peak at 98 B each while merged (tracemalloc,

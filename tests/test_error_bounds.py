@@ -2,7 +2,9 @@
 
 import hashlib
 import itertools
+import logging
 import math
+import re
 import time
 import warnings
 from dataclasses import replace
@@ -701,3 +703,58 @@ class TestJumpBoundAccuracy:
         assert rep.bound >= plain - 1e-9 * plain - 1e-14 * factor / 2.0
         prob = float(norm.sf(z))
         assert rep.shortfall_probability >= prob - 1e-9 * prob - 1e-14
+
+
+class TestJumpBoundPinned:
+    """The jump bound at sim-jump-neg's parameters, against the values the
+    cos/sin evaluation of the jump transform gave before the phase table.
+    Both sum the same trapezoid rule in float64, so only rounding moves
+    them."""
+
+    @pytest.mark.parametrize("tau, spread, y, bound, shortfall, rel", [
+        (24 * HOUR, 50_000.0, 50.0,
+         844077.3082335283, 0.0007002337346829439, 1e-13),  # CLI default
+        (24 * HOUR, 20_000.0, 150.0,
+         3.540956247735868e-05, 6.146644337865272e-14, 1e-13),  # README tail
+        (1.0, 20.0, 50.0, 2854.7995132615983, 0.030402744069152825, 1e-13),
+        # 1 ms to go: the left saddle point is 0.011 against jumps of 1500 MW,
+        # and the sum cancels; the two evaluations of E[(G^-)^2] are 4.5e-12
+        # and 5.0e-12 from the same sum taken in long double, 4.7e-13 apart
+        (1e-3, 1.0, 50.0, 2.933692950422903, 0.02750909524250912, 1e-11),
+    ], ids=["cli-default", "tail", "1s", "1ms"])
+    def test_values(self, sim_params_eta200, jumps_negative, tau, spread, y,
+                    bound, shortfall, rel):
+        rep = error_bounds.error_bound_jump(tau, spread, y, sim_params_eta200,
+                                            jumps_negative)
+        assert rep.bound == pytest.approx(bound, rel=rel, abs=0.0)
+        assert rep.shortfall_probability == pytest.approx(shortfall,
+                                                          rel=1e-13, abs=0.0)
+
+
+class TestJumpBoundLog:
+    def test_one_record_per_contour(self, sim_params_eta200, jumps_negative,
+                                    caplog):
+        """At the CLI default the two left contours each log k, side,
+        alpha, h, the frequencies summed and the saddle search's
+        evaluations of K' and K''; at WARNING nothing is logged."""
+        state = (24 * HOUR, 50_000.0, 50.0, sim_params_eta200, jumps_negative)
+        with caplog.at_level(logging.WARNING, logger="intraday.error_bounds"):
+            error_bounds.error_bound_jump(*state)
+        assert caplog.records == []
+        with caplog.at_level(logging.DEBUG, logger="intraday.error_bounds"):
+            error_bounds.error_bound_jump(*state)
+        pattern = re.compile(
+            r"contour k = (\d), side ([+-]1): alpha (\S+), step h (\S+), "
+            r"(\d+) frequencies, (\d+) evaluations of K' and K'' in the "
+            r"saddle search")
+        fields = []
+        for record in caplog.records:
+            assert (record.name, record.levelno) == ("intraday.error_bounds",
+                                                     logging.DEBUG)
+            fields.append(pattern.fullmatch(record.getMessage()).groups())
+        assert [(k, side) for k, side, *_ in fields] == [("3", "-1"),
+                                                         ("1", "-1")]
+        for _, _, alpha, h, frequencies, evaluations in fields:
+            assert 0.0 < float(h) < float(alpha)
+            assert int(frequencies) % error_bounds._CONTOUR_BLOCK == 0
+            assert int(frequencies) > 0 and int(evaluations) > 0
