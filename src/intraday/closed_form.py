@@ -8,10 +8,11 @@ state,
 
 with time-to-go dependent coefficients solving a Riccati system.  This
 module evaluates those coefficients from their closed forms, assembles the
-value functions (plain, jump-corrected and pure-trader variants) and the
-optimal feedback trading rates.  Numerical ODE integration of the same
-Riccati systems lives in :mod:`intraday.oracle` and is used only for
-cross-verification, never in the production path.
+value functions (plain and jump-corrected; the pure trader's is the plain
+one at ``beta=None``) and the optimal feedback trading rates.  Numerical
+ODE integration of the same Riccati systems lives in
+:mod:`intraday.oracle` and is used only for cross-verification, never in
+the production path.
 
 All common denominators ``(r + nu) tau + 2 gamma`` are factored before
 combining terms so that the near-degenerate regime ``nu = gamma = 1e-10``
@@ -125,11 +126,6 @@ def feedback_rate(tau, spread, y, params: ModelParams):
     r = reduced_cost_coefficient(params)
     return (r * (params.mu * tau + spread) - y) / ((r + params.nu) * tau
                                                    + 2.0 * params.gamma)
-
-
-def value_pure_trader(state: MarketState, params: ModelParams) -> float:
-    """Value function of the pure trader (beta -> infinity, r -> eta)."""
-    return value_aux(state, replace(params, beta=None))
 
 
 def feedback_rate_pure_trader(tau, spread, y, params: ModelParams):

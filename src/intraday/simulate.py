@@ -30,9 +30,10 @@ carry on from window to window, which draws the bits of one call over
 the whole horizon.  The jump events are flat arrays sorted by grid node,
 one event per (node, path) with jumps, so a step touches only the paths
 that jump at its node; the first jump draws of a block of paths take one
-array call each, and the draws of a batch of paths are merged into
-events at once.  The recorded ``PathSet`` arrays stay path-major, shape
-(n_paths, n_recorded).
+array call each, and each block's draws are merged into events as soon
+as they are drawn.  At each window's first step, one ``searchsorted``
+finds where the events of the window's nodes start.  The recorded
+``PathSet`` arrays stay path-major, shape (n_paths, n_recorded).
 """
 
 from __future__ import annotations
@@ -64,14 +65,6 @@ _BLOCK = 64
 
 #: Bytes a kept generator holds (tracemalloc: 817 per ``_stream``).
 _STREAM_BYTES = 1024
-#: Bytes a chunk holds per grid node: the ``bounds`` list (a slot and an
-#: int object) with the array it is built from, and ``record_pos``.
-_NODE_BYTES = 56
-#: Bytes a run holds per recorded node besides the recorded arrays: the
-#: ``recorded`` list (a slot and an int object), ``paths.times`` with the
-#: int array it is built from, and the two index arrays that put jump
-#: counts at recorded nodes.
-_RECORD_BYTES = 64
 
 #: Streams per path in the counter-based RNG keying.
 _STREAM_W, _STREAM_W_PERP, _STREAM_JUMP_TIMES, _STREAM_JUMP_SIGNS = range(4)
@@ -259,46 +252,41 @@ def _draw_jumps(seed: int, first: int, jumps: JumpParams, horizon: float,
 
 
 def _jump_block(draws: float, n_steps: int) -> int:
-    """Paths that draw their jumps together: ``_BLOCK`` when their
-    ``draws`` expected draws each fit in one batch of ``n_steps``, else 1."""
+    """Paths that draw and merge their jumps together: ``_BLOCK`` when
+    that many paths' expected draws, ``draws`` each, add up to at most
+    ``n_steps``, else 1."""
     return _BLOCK if _BLOCK * draws <= n_steps else 1
 
 
-def _merge_batch(flags: np.ndarray, record_pos: np.ndarray, dt: float,
-                 jumps: JumpParams, first: int, times: list, signs: list,
-                 counts: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Merge the jump draws of a batch of paths into events.
+def _merge_block(flags: np.ndarray, record_pos: np.ndarray, dt: float,
+                 jumps: JumpParams, first: int, times: np.ndarray,
+                 signs: np.ndarray, counts: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Merge the jump draws of a block of paths into events.
 
-    ``times``, ``signs`` and ``counts`` hold ``_draw_jumps`` results of the
-    paths in columns ``first, first + 1, ...`` of the chunk, and are
-    emptied.  Adds the signed counts at recorded nodes to ``flags``, the
-    chunk's rows of ``jump_flag``, and returns ``(key, jump_d, jump_y)``
-    sorted by key.
+    ``times``, ``signs`` and ``counts`` are the ``_draw_jumps`` result of
+    the paths in columns ``first, first + 1, ...`` of the chunk.  Adds the
+    signed counts at recorded nodes to ``flags``, the chunk's rows of
+    ``jump_flag``, and returns ``(key, jump_d, jump_y)`` sorted by key.
     """
     n, n_steps = flags.shape[0], record_pos.size - 1
-    per_path = np.concatenate(counts)
-    counts.clear()
-    column = np.repeat(np.arange(first, first + per_path.size), per_path)
-    sign = np.concatenate(signs)
+    column = np.repeat(np.arange(first, first + counts.size), counts)
     # first grid node at or after the exact jump time
-    nodes = np.minimum(
-        np.ceil(np.concatenate(times) / dt - 1e-12).astype(np.int64), n_steps)
-    times.clear()  # the drawn arrays go before the merge peaks
-    signs.clear()
+    nodes = np.minimum(np.ceil(times / dt - 1e-12).astype(np.int64), n_steps)
     pos = record_pos[nodes]
     hit = pos >= 0
-    np.add.at(flags, (column[hit], pos[hit]), sign[hit])
+    np.add.at(flags, (column[hit], pos[hit]), signs[hit])
     # add.at sums each (node, path) from 0.0 in draw order; a pairwise sum
     # would change the bits
     key, slot = np.unique(nodes * n + column, return_inverse=True)
-    up = sign > 0
+    up = signs > 0
     jump_d, jump_y = np.zeros(key.size), np.zeros(key.size)
     np.add.at(jump_d, slot, np.where(up, jumps.delta_plus, jumps.delta_minus))
     np.add.at(jump_y, slot, np.where(up, jumps.pi_plus, jumps.pi_minus))
     return key, jump_d, jump_y
 
 
-def _jump_events(paths: PathSet, rows: slice, recorded: list[int],
+def _jump_events(paths: PathSet, rows: slice, recorded: np.ndarray,
                  jumps: JumpParams | None, horizon: float
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The chunk's jumps as events sorted by grid node.
@@ -307,38 +295,27 @@ def _jump_events(paths: PathSet, rows: slice, recorded: list[int],
     event per (node, path) that has jumps, its demand and price jumps
     summed in draw order.  The signed jump counts at recorded nodes go
     straight into ``paths.jump_flag``.  Each path draws from its own
-    streams, and the draws are merged per batch of paths: a batch is
-    merged once it holds more than ``n_steps`` draws, the most events one
-    path can have.  Paths draw in blocks of ``_jump_block`` paths.
+    streams; paths draw in blocks of ``_jump_block`` paths, and each
+    block's draws are merged into events as soon as they are drawn.
     """
     if jumps is None:
         return np.empty(0, np.int64), np.empty(0), np.empty(0)
-    n, n_steps = rows.stop - rows.start, recorded[-1]
+    n, n_steps = rows.stop - rows.start, int(recorded[-1])
     record_pos = np.full(n_steps + 1, -1)
-    record_pos[recorded] = np.arange(len(recorded))
+    record_pos[recorded] = np.arange(recorded.size)
     width = _jump_block(jumps.lam * horizon, n_steps)
     keys, d_parts, y_parts = [], [], []
-    batch = ([], [], [])  # times, signs and counts, one array per block
-    first, held = 0, 0  # the batch's first column and its draw count
     for lo in range(0, n, width):
-        hi = min(lo + width, n)
-        for part, drawn in zip(batch, _draw_jumps(
-                paths.seed, rows.start + lo, jumps, horizon, hi - lo)):
-            part.append(drawn)
-        held += batch[0][-1].size
-        if held > n_steps or hi == n:
-            key, jump_d, jump_y = _merge_batch(
-                paths.jump_flag[rows], record_pos, paths.dt, jumps, first,
-                *batch)
-            keys.append(key)
-            d_parts.append(jump_d)
-            y_parts.append(jump_y)
-            first, held = hi, 0
+        for parts, part in zip((keys, d_parts, y_parts), _merge_block(
+                paths.jump_flag[rows], record_pos, paths.dt, jumps, lo,
+                *_draw_jumps(paths.seed, rows.start + lo, jumps, horizon,
+                             min(width, n - lo)))):
+            parts.append(part)
 
     order = np.argsort(np.concatenate(keys))
 
     def node_major(parts):
-        # each batch's parts are freed before the sorted copy is made
+        # each block's parts are freed before the sorted copy is made
         merged = np.concatenate(parts)
         parts.clear()
         return merged[order]
@@ -346,18 +323,16 @@ def _jump_events(paths: PathSet, rows: slice, recorded: list[int],
     return node_major(keys), node_major(d_parts), node_major(y_parts)
 
 
-def _simulate_chunk(paths: PathSet, rows: slice, recorded: list[int],
+def _simulate_chunk(paths: PathSet, rows: slice, recorded: np.ndarray,
                     params: ModelParams, jumps: JumpParams | None,
                     policy: Policy, start: MarketState) -> None:
     """Simulate the paths with ids ``rows`` and write them into ``paths``."""
     n = rows.stop - rows.start
-    dt, seed, n_steps = paths.dt, paths.seed, recorded[-1]
+    dt, seed, n_steps = paths.dt, paths.seed, int(recorded[-1])
 
     # the events first: they peak while being sorted, before the noise exists
     key, jump_d, jump_y = _jump_events(paths, rows, recorded, jumps,
                                        params.horizon)
-    # events of node k are key[bounds[k]:bounds[k + 1]]
-    bounds = np.searchsorted(key, np.arange(n_steps + 2) * n).tolist()
 
     # time-major: row j of dw/db is step k0 + j of every path in the window
     # that starts at step k0, stored as the price and demand increments
@@ -406,7 +381,11 @@ def _simulate_chunk(paths: PathSet, rows: slice, recorded: list[int],
     tmp = np.empty(n)
     pos = 0  # next position in ``recorded``
     for k in range(n_steps + 1):
-        lo, hi = bounds[k], bounds[k + 1]
+        row = k % window
+        if row == 0:  # events of node k + j are key[bounds[j]:bounds[j + 1]]
+            bounds = np.searchsorted(
+                key, np.arange(k, k + window + 1) * n).tolist()
+        lo, hi = bounds[row], bounds[row + 1]
         if lo < hi:  # the jumps that land on node k
             cols = key[lo:hi] - k * n
             d[cols] += jump_d[lo:hi]
@@ -424,7 +403,6 @@ def _simulate_chunk(paths: PathSet, rows: slice, recorded: list[int],
             pos += 1
         if k == n_steps:
             break
-        row = k % window
         if row == 0:
             draw(min(window, n_steps - k))
         # in place, in the operation order of
@@ -456,10 +434,10 @@ def check_grid(params: ModelParams, jumps: JumpParams | None, n_paths: int,
 
     Rejects a non-positive path count, a ``dt`` that is not finite or does
     not divide the horizon, a ``dt`` too coarse for the jumps, a bad
-    ``record_every``, and a run whose recorded arrays and per-record lists
-    plus one chunk's window of noise, kept streams, per-node arrays and
-    jump events, or one batch of jump draws, exceed physical memory.
-    Returns the number of Euler steps.
+    ``record_every``, and a run whose recorded arrays and per-record items
+    plus one chunk's window of noise, kept streams and jump events and one
+    item per Euler step, or one block of jump draws, exceed physical
+    memory.  Returns the number of Euler steps.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
@@ -477,25 +455,25 @@ def check_grid(params: ModelParams, jumps: JumpParams | None, n_paths: int,
         raise ValueError("record_every must be positive or None")
     n_recorded = 1 if record_every is None else -(-n_steps // record_every) + 1
     draws = 0.0 if jumps is None else jumps.lam * params.horizon
-    # recorded arrays (x, y, d, p_hat, q, jump_flag) plus one chunk's
-    # window of noise (dw, db) and its jump events, at most one per node
-    # and path, which peak at 5 items each while being sorted: 8-byte items
-    # throughout; then the chunk's two streams a path when it has more than
-    # one window, its per-node arrays and the run's per-record ones
+    # recorded arrays (x, y, d, p_hat, q, jump_flag) and 5 items per
+    # recorded node: the node array, the times, with jumps the positions
+    # that put jump counts at recorded nodes, and two of headroom; plus
+    # one chunk's window of noise (dw, db), its jump events, at most one
+    # per node and path, which peak at 5 items each while being sorted,
+    # and one item per node (``record_pos``): 8-byte items throughout;
+    # then the chunk's two streams a path when it has more than one window
     chunk, window = min(n_paths, _CHUNK), min(_WINDOW, n_steps)
     events = math.ceil(min(draws, n_steps + 1))
-    needed = ((n_paths * n_recorded * 6 + chunk * (2 * window + 5 * events))
-              * 8 + (2 * chunk * _STREAM_BYTES if n_steps > window else 0)
-              + (n_steps + 2) * _NODE_BYTES + n_recorded * _RECORD_BYTES)
+    needed = ((n_paths * n_recorded * 6 + n_recorded * 5 + n_steps + 1
+               + chunk * (2 * window + 5 * events)) * 8
+              + (2 * chunk * _STREAM_BYTES if n_steps > window else 0))
     model.check_memory(needed, f"{n_paths} paths at dt = {dt:g} s")
-    # a batch of jump draws holds at most n_steps draws of earlier paths
-    # plus one block's; they peak at 98 B each while merged (tracemalloc,
-    # one path of 1e5 and 1e6 draws): the drawn arrays, their
-    # concatenation, and the node and np.unique temporaries
+    # a block of jump draws peaks at 91 to 95 B a draw while merged
+    # (tracemalloc, one path of 1e6 and 1e5 draws): the drawn arrays, and
+    # the node and np.unique temporaries
     block = _jump_block(draws, n_steps) * draws
-    batch = n_steps + block if draws > 0.0 else 0.0
-    model.check_memory(104 * batch, f"{draws:.3g} expected jump draws per "
-                       f"path (merged {batch:.3g} at a time)")
+    model.check_memory(104 * block, f"{draws:.3g} expected jump draws per "
+                       f"path (merged {block:.3g} at a time)")
     return n_steps
 
 
@@ -516,17 +494,17 @@ def sample_paths(params: ModelParams, jumps: JumpParams | None, policy: Policy,
     start = MarketState(t=0.0, x=x0, y=y0, d=d0)
     n_steps = check_grid(params, jumps, n_paths, dt, record_every)
     if record_every is None:
-        recorded = [n_steps]
+        recorded = np.array([n_steps])
     else:
-        recorded = [*range(0, n_steps, record_every), n_steps]
+        recorded = np.append(np.arange(0, n_steps, record_every), n_steps)
 
     if not 0.0 <= policy.production_time <= params.horizon:
         raise ValueError("production time must lie in [0, horizon]")
     production_index = min(int(math.floor(policy.production_time / dt + 1e-9)),
                            n_steps)
 
-    shape = (n_paths, len(recorded))
-    paths = PathSet(times=np.array(recorded) * dt,
+    shape = (n_paths, recorded.size)
+    paths = PathSet(times=recorded * dt,
                     x=np.empty(shape), y=np.empty(shape), d=np.empty(shape),
                     p_hat=np.empty(shape), q=np.empty(shape),
                     jump_flag=np.zeros(shape, dtype=np.int64),

@@ -452,12 +452,21 @@ class TestJumpCoefficientAccuracy:
 
 class TestPureTrader:
     def test_pure_trader_value_uses_eta(self, sim_params):
-        pure = ModelParams(sigma0=sim_params.sigma0, sigma_d=sim_params.sigma_d,
-                           beta=None, eta=100.0, mu=0.0, nu=4e-5, gamma=2.22,
-                           rho=0.8, horizon=24 * HOUR)
+        """``value_aux`` at ``beta=None`` is the quadratic form with the
+        reduced cost coefficient r replaced by eta (mu = 0: no G, H)."""
+        p = replace(sim_params, beta=None)
         state = MarketState(t=0.0, x=0.0, y=50.0, d=50_000.0)
-        assert closed_form.value_pure_trader(state, sim_params) == \
-            pytest.approx(closed_form.value_aux(state, pure), rel=1e-13)
+        tau, r, s0, sd = p.horizon, p.eta, p.sigma0, p.sigma_d
+        den = (r + p.nu) * tau + 2.0 * p.gamma
+        k = (p.gamma * (s0**2 + sd**2 * r**2 - 2.0 * p.rho * s0 * sd * r)
+             / (r + p.nu) ** 2 * math.log1p((r + p.nu) * tau / (2.0 * p.gamma))
+             + (sd**2 * r * p.nu + 2.0 * p.rho * s0 * sd * r - s0**2)
+             / (2.0 * (r + p.nu)) * tau)
+        expected = (r * (0.5 * p.nu * tau + p.gamma) / den * state.spread**2
+                    - 0.5 * tau / den * state.y**2
+                    + r * tau / den * state.spread * state.y + k)
+        assert closed_form.value_aux(state, p) == pytest.approx(expected,
+                                                                rel=1e-13)
 
     @given(tau=st.floats(1.0, 24 * HOUR), d=spreads(), y=prices())
     @settings(max_examples=60, deadline=None)

@@ -77,6 +77,8 @@ class TestValidation:
                                delta_minus=-1500.0, pi_plus=10.0,
                                pi_minus=-10.0)),
          "jump draws per path .* physical memory"),
+        # refused by its per-node term alone
+        (dict(dt=1e-300, record_every=None), "physical memory"),
     ])
     def test_oversized_grid_rejected_before_allocating(self, sim_params,
                                                        kwargs, message):
@@ -292,21 +294,30 @@ class TestNoiseWindow:
             assert paths.p_hat[pid, 1:].tobytes() == np.cumsum(dw).tobytes()
             assert paths.d[pid, 1:].tobytes() == np.cumsum(db).tobytes()
 
-    def test_single_window_with_jumps(self, sim_params, jumps_negative):
+    @pytest.mark.parametrize("horizon, dt, per_day", [
+        (2 * HOUR, 60.0, 20.0), (DAY, 45.0, 400.0)],
+        ids=["one-window", "multi-window"])
+    def test_windows_with_jumps(self, sim_params, jumps_negative, horizon,
+                                dt, per_day):
         """A 2-hour horizon at dt = 60 s is 120 steps, less than a window,
-        so no stream is kept.  Price jumps of +-10 sum exactly, so Y is the
-        running sum of the jumps at each node and the sigma0 dW after it."""
-        params = replace(sim_params, horizon=2 * HOUR)
-        jumps = replace(jumps_negative, lam=20.0 / DAY)
-        n_steps = 120
-        assert n_steps < simulate._WINDOW
+        so no stream is kept.  A day at dt = 45 s is 1920 steps, five full
+        windows and a last one of 120 steps, with jumps on the first node
+        of some window and on the final node.  Price jumps of +-10 sum
+        exactly, so Y is the running sum of the jumps at each node and the
+        sigma0 dW after it."""
+        params = replace(sim_params, horizon=horizon)
+        jumps = replace(jumps_negative, lam=per_day / DAY)
+        n_steps = round(horizon / dt)
         paths = simulate.sample_paths(params, jumps,
-                                      simulate.zero_policy(params), 8, 60.0, 5)
+                                      simulate.zero_policy(params), 8, dt, 5)
         assert np.abs(paths.jump_flag).sum() > 0
+        if n_steps > simulate._WINDOW:
+            assert paths.jump_flag[:, simulate._WINDOW::simulate._WINDOW].any()
+            assert paths.jump_flag[:, -1].any()
         for pid in range(8):
             z = simulate._stream(5, pid, simulate._STREAM_W
                                  ).standard_normal(n_steps)
-            dw = (z * math.sqrt(60.0) * params.sigma0).tolist()
+            dw = (z * math.sqrt(dt) * params.sigma0).tolist()
             y, expected = 0.0, []
             for k, flag in enumerate(paths.jump_flag[pid].tolist()):
                 y += 10.0 * flag
@@ -502,8 +513,8 @@ class TestMemory:
     def test_grid_budget_grows_only_per_node(self, sim_params, jumps_negative,
                                              with_jumps, monkeypatch):
         """From dt = 60 s to dt = 1 s, the budget of a 4096-path run that
-        records only the terminal node grows by the per-node arrays alone:
-        a chunk's noise stays one window of 360 steps, and its kept
+        records only the terminal node grows by one 8-byte item per node
+        alone: a chunk's noise stays one window of 360 steps, and its kept
         streams and jump events do not depend on dt."""
         needed = {}
         monkeypatch.setattr(model, "check_memory",
@@ -513,26 +524,43 @@ class TestMemory:
             simulate.check_grid(sim_params, jumps, 4096, dt, None)
         growth = (needed["4096 paths at dt = 1 s"]
                   - needed["4096 paths at dt = 60 s"])
-        assert growth == (86400 - 1440) * simulate._NODE_BYTES
+        assert growth == (86400 - 1440) * 8
 
-    @pytest.mark.parametrize("n", [1, 8])
-    def test_recorded_nodes_are_budgeted(self, sim_params, n, monkeypatch):
+    def test_peak_grows_at_most_one_item_per_node(self, sim_params,
+                                                  jumps_negative):
+        """From dt = 60 s to dt = 10 s, 400 jump paths recording only the
+        terminal node: the noise stays one window and the events are
+        bounded per window, so the traced peak grows by at most one 8-byte
+        item per extra node.  Measured -2.4 B a node; event bounds over the
+        whole horizon read 24.4."""
+        peaks = [self._traced_peak(sim_params, jumps_negative, 400, dt)
+                 for dt in (60.0, 10.0)]
+        assert peaks[1] - peaks[0] <= (8640 - 1440) * 8
+
+    @pytest.mark.parametrize("n, with_jumps", [
+        pytest.param(1, False, id="1"), pytest.param(8, False, id="8"),
+        pytest.param(1, True, id="jumps-1"),
+        pytest.param(8, True, id="jumps-8")])
+    def test_recorded_nodes_are_budgeted(self, sim_params, jumps_negative, n,
+                                         with_jumps, monkeypatch):
         """Every node recorded at dt = 1 s: the run holds the recorded
-        arrays and, per recorded node, the node list and the times with
-        the array they are built from.  Measured 0.67 and 0.89 of the
-        budget (0.72 and 0.91 with sim-jump-neg's jumps); without the
-        per-record term the peak read 1.085 and 1.019 of it.  About 20 s
+        arrays and, per recorded node, the node array and the times, and
+        with jumps the positions that put jump counts at recorded nodes
+        and one item per node.  Measured 0.67 and 0.93 of the budget
+        without jumps, 0.83 and 0.96 with sim-jump-neg's jumps; with 4
+        items per record the jump case read 0.91 and 0.98.  About 20 s
         each: tracemalloc slows the 86 400 steps."""
         needed = {}
         monkeypatch.setattr(model, "check_memory",
                             lambda size, what: needed.setdefault(what, size))
-        peak = self._traced_peak(sim_params, None, n, 1.0, record_every=1)
+        jumps = jumps_negative if with_jumps else None
+        peak = self._traced_peak(sim_params, jumps, n, 1.0, record_every=1)
         assert peak <= needed[f"{n} paths at dt = 1 s"]
 
     def test_saturated_jump_events(self, sim_params, jumps_negative):
-        """1e4 jumps a day, about 7 per node: merged per batch of paths,
+        """1e4 jumps a day, about 7 per node: merged one path at a time,
         there is an event at almost every (node, path), and sorting them
-        peaks at 5 units before dW and dB exist.  Measured 5.50, of which
+        peaks at 5 units before dW and dB exist.  Measured 5.46, of which
         the drawing block is 0.25 on this 2-hour horizon.  Keeping every
         raw draw would take tens of units."""
         params = replace(sim_params, horizon=2 * HOUR)
