@@ -20,7 +20,8 @@ errorbound  Print the approximation-error bound and shortfall probability
             for a configured initial state.
             --config --seed --d0 --y0 --x0
 delay       Print the delay constant, delayed value and bound, production
-            quantity and post-decision mean rate.
+            quantity and post-decision mean rate.  A config with a jump
+            block is refused.
             --config --delay-hours --d0 --y0 --x0
 
 ``--config`` accepts either a bundled preset name (table13, sim-nojump,
@@ -196,8 +197,11 @@ def cmd_errorbound(args) -> int:
 
 
 def cmd_delay(args) -> int:
-    params, _, delay_seconds = load_param_file(
+    params, jumps, delay_seconds = load_param_file(
         resolve_config(args.config, "sim-delay"))
+    if jumps is not None:  # --delay-hours must not get round the refusal
+        raise ValueError("the config has a jump block: no command models "
+                         "delayed production under jumps")
     h = args.delay_hours * HOUR if args.delay_hours is not None else delay_seconds
     if h is None:
         raise ValueError("no delay configured; set delay_hours in the config "

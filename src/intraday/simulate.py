@@ -29,9 +29,10 @@ transposed into the window.  A path's two normal streams
 carry on from window to window, which draws the bits of one call over
 the whole horizon.  The jump events are flat arrays sorted by grid node,
 one event per (node, path) with jumps, so a step touches only the paths
-that jump at its node; the first jump draws of a block of paths take one
-array call each, and each block's draws are merged into events as soon
-as they are drawn.  At each window's first step, one ``searchsorted``
+that jump at its node.  Paths draw their jumps in blocks whose expected
+draws add up to at most one per grid step, a block's first draws take
+one array call each, and its draws are merged into events as soon as
+they are drawn.  At each window's first step, one ``searchsorted``
 finds where the events of the window's nodes start.  The recorded
 ``PathSet`` arrays stay path-major, shape (n_paths, n_recorded).
 """
@@ -59,8 +60,7 @@ _CHUNK = 2048
 _WINDOW = 360
 
 #: Paths whose normals are drawn into one path-major block before it is
-#: transposed into the time-major window; paths whose first jump draws
-#: take one array call.
+#: transposed into the time-major window.
 _BLOCK = 64
 
 #: Bytes a kept generator holds (tracemalloc: 817 per ``_stream``).
@@ -251,41 +251,6 @@ def _draw_jumps(seed: int, first: int, jumps: JumpParams, horizon: float,
     return np.concatenate(parts_t), signs, counts
 
 
-def _jump_block(draws: float, n_steps: int) -> int:
-    """Paths that draw and merge their jumps together: ``_BLOCK`` when
-    that many paths' expected draws, ``draws`` each, add up to at most
-    ``n_steps``, else 1."""
-    return _BLOCK if _BLOCK * draws <= n_steps else 1
-
-
-def _merge_block(flags: np.ndarray, record_pos: np.ndarray, dt: float,
-                 jumps: JumpParams, first: int, times: np.ndarray,
-                 signs: np.ndarray, counts: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Merge the jump draws of a block of paths into events.
-
-    ``times``, ``signs`` and ``counts`` are the ``_draw_jumps`` result of
-    the paths in columns ``first, first + 1, ...`` of the chunk.  Adds the
-    signed counts at recorded nodes to ``flags``, the chunk's rows of
-    ``jump_flag``, and returns ``(key, jump_d, jump_y)`` sorted by key.
-    """
-    n, n_steps = flags.shape[0], record_pos.size - 1
-    column = np.repeat(np.arange(first, first + counts.size), counts)
-    # first grid node at or after the exact jump time
-    nodes = np.minimum(np.ceil(times / dt - 1e-12).astype(np.int64), n_steps)
-    pos = record_pos[nodes]
-    hit = pos >= 0
-    np.add.at(flags, (column[hit], pos[hit]), signs[hit])
-    # add.at sums each (node, path) from 0.0 in draw order; a pairwise sum
-    # would change the bits
-    key, slot = np.unique(nodes * n + column, return_inverse=True)
-    up = signs > 0
-    jump_d, jump_y = np.zeros(key.size), np.zeros(key.size)
-    np.add.at(jump_d, slot, np.where(up, jumps.delta_plus, jumps.delta_minus))
-    np.add.at(jump_y, slot, np.where(up, jumps.pi_plus, jumps.pi_minus))
-    return key, jump_d, jump_y
-
-
 def _jump_events(paths: PathSet, rows: slice, recorded: np.ndarray,
                  jumps: JumpParams | None, horizon: float
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -295,22 +260,44 @@ def _jump_events(paths: PathSet, rows: slice, recorded: np.ndarray,
     event per (node, path) that has jumps, its demand and price jumps
     summed in draw order.  The signed jump counts at recorded nodes go
     straight into ``paths.jump_flag``.  Each path draws from its own
-    streams; paths draw in blocks of ``_jump_block`` paths, and each
-    block's draws are merged into events as soon as they are drawn.
+    streams.  Paths draw in blocks whose expected draws add up to at most
+    one per grid step (the whole chunk when its draws do, else at least
+    one path), and each block's draws are merged into events as soon as
+    they are drawn.
     """
     if jumps is None:
         return np.empty(0, np.int64), np.empty(0), np.empty(0)
-    n, n_steps = rows.stop - rows.start, int(recorded[-1])
+    n, n_steps, dt = rows.stop - rows.start, int(recorded[-1]), paths.dt
     record_pos = np.full(n_steps + 1, -1)
     record_pos[recorded] = np.arange(recorded.size)
-    width = _jump_block(jumps.lam * horizon, n_steps)
+    draws = jumps.lam * horizon  # may underflow to 0.0: not divided by
+    width = n if n * draws <= n_steps else max(1, int(n_steps // draws))
+    flags = paths.jump_flag[rows]
     keys, d_parts, y_parts = [], [], []
     for lo in range(0, n, width):
-        for parts, part in zip((keys, d_parts, y_parts), _merge_block(
-                paths.jump_flag[rows], record_pos, paths.dt, jumps, lo,
-                *_draw_jumps(paths.seed, rows.start + lo, jumps, horizon,
-                             min(width, n - lo)))):
-            parts.append(part)
+        times, signs, counts = _draw_jumps(paths.seed, rows.start + lo, jumps,
+                                           horizon, min(width, n - lo))
+        column = np.repeat(np.arange(lo, lo + counts.size), counts)
+        # first grid node at or after the exact jump time
+        nodes = np.minimum(np.ceil(times / dt - 1e-12).astype(np.int64),
+                           n_steps)
+        pos = record_pos[nodes]
+        hit = pos >= 0
+        np.add.at(flags, (column[hit], pos[hit]), signs[hit])
+        # add.at sums each (node, path) from 0.0 in draw order; a pairwise
+        # sum would change the bits
+        key, slot = np.unique(nodes * n + column, return_inverse=True)
+        up = signs > 0
+        jump_d, jump_y = np.zeros(key.size), np.zeros(key.size)
+        np.add.at(jump_d, slot, np.where(up, jumps.delta_plus,
+                                         jumps.delta_minus))
+        np.add.at(jump_y, slot, np.where(up, jumps.pi_plus, jumps.pi_minus))
+        keys.append(key)
+        d_parts.append(jump_d)
+        y_parts.append(jump_y)
+        # free this block's arrays before the next block draws and the sort
+        del times, signs, column, nodes, pos, hit, key, slot, up
+        del jump_d, jump_y
 
     order = np.argsort(np.concatenate(keys))
 
@@ -435,9 +422,9 @@ def check_grid(params: ModelParams, jumps: JumpParams | None, n_paths: int,
     Rejects a non-positive path count, a ``dt`` that is not finite or does
     not divide the horizon, a ``dt`` too coarse for the jumps, a bad
     ``record_every``, and a run whose recorded arrays and per-record items
-    plus one chunk's window of noise, kept streams and jump events and one
-    item per Euler step, or one block of jump draws, exceed physical
-    memory.  Returns the number of Euler steps.
+    plus one chunk's window of noise, drawing block, step-loop arrays,
+    streams and jump events and one item per Euler step, or one block of
+    jump draws, exceed physical memory.  Returns the number of Euler steps.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
@@ -460,18 +447,24 @@ def check_grid(params: ModelParams, jumps: JumpParams | None, n_paths: int,
     # that put jump counts at recorded nodes, and two of headroom; plus
     # one chunk's window of noise (dw, db), its jump events, at most one
     # per node and path, which peak at 5 items each while being sorted,
-    # and one item per node (``record_pos``): 8-byte items throughout;
-    # then the chunk's two streams a path when it has more than one window
+    # 14 items a path of step-loop arrays (state, cost, scratch and the
+    # rate rule's temporaries; tracemalloc, one window, 512 to 2048 paths),
+    # the block its normals are drawn into, and one item per node
+    # (``record_pos``): 8-byte items throughout; then the chunk's two
+    # streams a path, kept from window to window or held by a jump block
     chunk, window = min(n_paths, _CHUNK), min(_WINDOW, n_steps)
     events = math.ceil(min(draws, n_steps + 1))
     needed = ((n_paths * n_recorded * 6 + n_recorded * 5 + n_steps + 1
-               + chunk * (2 * window + 5 * events)) * 8
-              + (2 * chunk * _STREAM_BYTES if n_steps > window else 0))
+               + chunk * (2 * window + 5 * events + 14)
+               + 2 * min(_BLOCK, chunk) * window) * 8
+              + 2 * chunk * _STREAM_BYTES)
     model.check_memory(needed, f"{n_paths} paths at dt = {dt:g} s")
     # a block of jump draws peaks at 91 to 95 B a draw while merged
     # (tracemalloc, one path of 1e6 and 1e5 draws): the drawn arrays, and
-    # the node and np.unique temporaries
-    block = _jump_block(draws, n_steps) * draws
+    # the node and np.unique temporaries.  The widest block holds the
+    # chunk's expected draws when they add up to at most one per step,
+    # else at most one per step or one path's
+    block = min(chunk * draws, max(n_steps, draws))
     model.check_memory(104 * block, f"{draws:.3g} expected jump draws per "
                        f"path (merged {block:.3g} at a time)")
     return n_steps

@@ -570,6 +570,15 @@ class TestConfigHandling:
         assert "not both" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_delay_hours_with_jump_config_exit_1(self, capsys):
+        """``--delay-hours`` used to get round the refusal above: delay
+        printed the no-jump quantities of a jump config."""
+        assert run(["delay", "--config", "sim-jump-neg",
+                    "--delay-hours", "4"]) == 1
+        captured = capsys.readouterr()
+        assert "error: the config has a jump block" in captured.err
+        assert captured.out == ""
+
     def test_io_error_exit_code(self, tmp_path):
         blocker = tmp_path / "not-a-directory"
         blocker.write_text("")

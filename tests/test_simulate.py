@@ -459,6 +459,30 @@ class TestJumpDraws:
         self._assert_same(ours, _running_sum_jumps(7, 3, jumps, horizon))
 
 
+    @pytest.mark.parametrize("n_paths, hours, per_day, widths", [
+        (2048, 24, 1.5, [960, 960, 128]), (500, 2, 1.5, [500]),
+        (4, 2, 1e4, [1, 1, 1, 1])], ids=["chunk", "one-block", "saturated"])
+    def test_blocks_sized_by_the_grid(self, sim_params, jumps_negative,
+                                      monkeypatch, n_paths, hours, per_day,
+                                      widths):
+        """At dt = 60 s a chunk draws in blocks whose expected draws add up
+        to at most one per step: 960 of sim-jump-neg's paths draw 1440 over
+        24 h, and 500 paths draw 62.5 over the 120 steps of 2 h.  At 1e4
+        jumps a day one path draws 833, more than its 120 steps."""
+        drawn, draw = [], simulate._draw_jumps
+
+        def spy(seed, first, jumps, horizon, width=1):
+            drawn.append(width)
+            return draw(seed, first, jumps, horizon, width)
+
+        monkeypatch.setattr(simulate, "_draw_jumps", spy)
+        params = replace(sim_params, horizon=hours * HOUR)
+        jumps = replace(jumps_negative, lam=per_day / DAY)
+        simulate.sample_paths(params, jumps, simulate.zero_policy(params),
+                              n_paths, 60.0, 1, record_every=None)
+        assert drawn == widths
+
+
 class TestMemory:
     @staticmethod
     def _traced_peak(params, jumps, n, dt, record_every=None):
@@ -525,6 +549,39 @@ class TestMemory:
         growth = (needed["4096 paths at dt = 1 s"]
                   - needed["4096 paths at dt = 60 s"])
         assert growth == (86400 - 1440) * 8
+
+    @pytest.mark.parametrize("dt, draws", [(60.0, 1440), (0.01, 3072)])
+    def test_jump_draw_budget(self, sim_params, jumps_negative, monkeypatch,
+                              dt, draws):
+        """4096 sim-jump-neg paths: the widest block of a 2048-path chunk
+        draws at most one jump per step (1440 at dt = 60 s), and never
+        more than the chunk's 3072, however fine the grid."""
+        needed = {}
+        monkeypatch.setattr(model, "check_memory",
+                            lambda size, what: needed.setdefault(what, size))
+        simulate.check_grid(sim_params, jumps_negative, 4096, dt, None)
+        [budget] = [size for what, size in needed.items()
+                    if "jump draws" in what]
+        assert budget == 104 * draws
+
+    @pytest.mark.parametrize("hours, with_jumps, n", [
+        (2, False, 2048), (2, True, 2048), (6, False, 2048),
+        (2, False, 512)], ids=["2h", "2h-jumps", "6h", "2h-512"])
+    def test_one_window_runs_are_budgeted(self, sim_params, jumps_negative,
+                                          hours, with_jumps, n, monkeypatch):
+        """A horizon of one noise window at dt = 60 s: the chunk holds the
+        window, the block its normals are drawn into and 14 items a path
+        of step-loop arrays; its streams are made as each path draws.
+        Measured 0.51, 0.51, 0.75 and 0.53 of the budget, and 0.997 to
+        1.004 of it less the streams; without the block, the step-loop
+        items and the streams the budget read 1.09, 1.07, 1.05 and 1.18."""
+        needed = {}
+        monkeypatch.setattr(model, "check_memory",
+                            lambda size, what: needed.setdefault(what, size))
+        params = replace(sim_params, horizon=hours * HOUR)
+        jumps = jumps_negative if with_jumps else None
+        peak = self._traced_peak(params, jumps, n, 60.0)
+        assert peak <= needed[f"{n} paths at dt = 60 s"]
 
     def test_peak_grows_at_most_one_item_per_node(self, sim_params,
                                                   jumps_negative):
