@@ -731,6 +731,34 @@ class TestJumpBoundPinned:
                                                           rel=1e-13, abs=0.0)
 
 
+class TestLogTimeNodes:
+    """sha256 of the nodes, the weights and the panel width of the
+    composite Gauss–Legendre rule: the jump bound's 8 panels over a day and
+    the oracle's default 32 over an hour, both with a 0.04 s boundary
+    layer."""
+
+    @pytest.mark.parametrize("panels, tau, digest", [
+        (8, 24 * HOUR,
+         "a1d4ec179c55a4b3ba8dabedc88f200b411a8e88a957d505ccc6e19ccd4514c0"),
+        (32, HOUR,
+         "c703d47acda2f4dc2f93e78164dd333730e98b8749940684a048b19321b2892a"),
+    ], ids=["8", "32"])
+    def test_digest(self, panels, tau, digest):
+        u, weights, width = error_bounds.log_time_nodes(tau, 0.04, panels)
+        assert u.shape == (panels, 20) and weights.shape == (20,)
+        sha = hashlib.sha256()
+        for part in (u, weights, np.float64(width)):
+            sha.update(part.tobytes())
+        assert sha.hexdigest() == digest
+
+    def test_weights_are_read_only(self):
+        """The weights are shared by every call."""
+        _, weights, _ = error_bounds.log_time_nodes(HOUR, 0.04)
+        assert not weights.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            weights[0] = 0.0
+
+
 class TestJumpBoundLog:
     def test_one_record_per_contour(self, sim_params_eta200, jumps_negative,
                                     caplog):
