@@ -3,7 +3,8 @@
 Subcommands, each with the only options it accepts
 --------------------------------------------------
 tables      Emit the three benchmark tables (varying horizon, demand,
-            initial price) as CSV files.
+            initial price) as CSV files.  A config with a jump block is
+            refused, and delay_hours is not read.
             --config --out
 simulate    Sample Euler trajectories under the optimal policy for a
             scenario (nojump | jump-positive | jump-negative | delay) and
@@ -14,7 +15,8 @@ verify      Run the independent verification suite (RK4 integration of the
             config's own Riccati system, jump-corrected when it has jumps;
             quadrature, martingale and cost checks); nonzero exit on any
             failure.  It checks the model without delay and does not read
-            delay_hours.  The simulated paths start with no inventory.
+            delay_hours.  The simulated paths start with no inventory,
+            and --dt must be below horizon / 120.
             --config --seed --paths --dt --out --d0 --y0
 errorbound  Print the approximation-error bound and shortfall probability
             for a configured initial state.
@@ -67,6 +69,9 @@ SCENARIO_PRESETS = {
 #: sub-threshold marker in table output.
 _TINY = 1e-16
 
+#: Refusal of a jump config by the commands that model no jumps.
+_NO_JUMPS = "the config has a jump block: tables and delay model no jumps"
+
 
 def resolve_config(name_or_path: str | None, default: str) -> Path:
     """Map a preset name or an existing non-directory path (a ``<(...)``
@@ -99,7 +104,9 @@ def _table_row(params, tau: float, d0: float, y0: float):
 
 
 def cmd_tables(args) -> int:
-    params, _, _ = load_param_file(resolve_config(args.config, "table13"))
+    params, jumps, _ = load_param_file(resolve_config(args.config, "table13"))
+    if jumps is not None:
+        raise ValueError(_NO_JUMPS)
     specs = [
         ("table1.csv", "T_hours",
          [(f"{t:g}",) + _table_row(params, t * HOUR, DEFAULT_D0, DEFAULT_Y0)
@@ -200,8 +207,7 @@ def cmd_delay(args) -> int:
     params, jumps, delay_seconds = load_param_file(
         resolve_config(args.config, "sim-delay"))
     if jumps is not None:  # --delay-hours must not get round the refusal
-        raise ValueError("the config has a jump block: no command models "
-                         "delayed production under jumps")
+        raise ValueError(_NO_JUMPS)
     h = args.delay_hours * HOUR if args.delay_hours is not None else delay_seconds
     if h is None:
         raise ValueError("no delay configured; set delay_hours in the config "

@@ -52,9 +52,10 @@ _PSI_TILDE_TAIL = (1.0, -3.0, 15.0, -105.0, 945.0, -10395.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
-#: Composite Gauss–Legendre rules on [0, panels], by the number of panels;
-#: filled on first use by :func:`log_time_nodes`.
-_UNIT_PANELS: dict = {}
+#: The 20-node Gauss–Legendre rule on [-1, 1] of :func:`log_time_nodes`,
+#: read-only: every call returns the same weights.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+_GL_NODES.flags.writeable = _GL_WEIGHTS.flags.writeable = False
 
 #: Panels of 20 nodes in the jump-time average E[e^{sJ}] of
 #: :func:`error_bound_jump`; 64 panels move its values by about 1e-15.
@@ -298,17 +299,11 @@ def log_time_nodes(tau: float, scale: float, panels: int = 32
     panel and the panel width, so that the integral of f over s in
     [0, tau] is ``0.5 * width * sum(weights * f(s(u)) * scale * exp(u))``.
     A boundary layer of width ~scale at s = 0 gets as many nodes as the
-    rest of the interval.  The rule on [0, panels] is built once per
-    number of panels, at its first use.
+    rest of the interval.  The weights are shared and read-only.
     """
-    if panels not in _UNIT_PANELS:
-        nodes, weights = np.polynomial.legendre.leggauss(20)
-        offsets = np.arange(panels)[:, None] + 0.5 * (nodes + 1.0)
-        offsets.flags.writeable = weights.flags.writeable = False  # shared
-        _UNIT_PANELS[panels] = offsets, weights
-    offsets, weights = _UNIT_PANELS[panels]
+    offsets = np.arange(panels)[:, None] + 0.5 * (_GL_NODES + 1.0)
     width = math.log1p(tau / scale) / panels
-    return offsets * width, weights, width
+    return offsets * width, _GL_WEIGHTS, width
 
 
 class _JumpSpread:

@@ -290,7 +290,13 @@ def verification_report(params: ModelParams, jumps: JumpParams | None = None,
     """
     check_seed(seed)
     if not params.pure_trader:  # reject a bad grid or state before the oracle
-        simulate.check_grid(params, jumps, n_paths, dt, _RECORD_EVERY)
+        n_steps = simulate.check_grid(params, jumps, n_paths, dt,
+                                      _RECORD_EVERY)
+        if n_steps <= 2 * _RECORD_EVERY:
+            raise ValueError(
+                f"dt must be below horizon / {2 * _RECORD_EVERY} = "
+                f"{params.horizon / (2 * _RECORD_EVERY):g} s: the drift slope "
+                f"needs 3 nodes before T, recorded every {_RECORD_EVERY} steps")
         _check_mc_paths(n_paths)
         value = closed_form.value_aux_jump(
             MarketState(t=0.0, x=0.0, y=y0, d=d0), params, jumps)

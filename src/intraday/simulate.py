@@ -63,8 +63,11 @@ _WINDOW = 360
 #: transposed into the time-major window.
 _BLOCK = 64
 
-#: Bytes a kept generator holds (tracemalloc: 817 per ``_stream``).
-_STREAM_BYTES = 1024
+#: Bytes a chunk holds at its largest on any grid: a window of dW and dB,
+#: the drawing block, 14 items a path of step-loop arrays (tracemalloc) and
+#: two 1 KB streams a path (tracemalloc: 817 B per ``_stream``).
+_CHUNK_BYTES = (2 * _WINDOW * _CHUNK + 2 * _BLOCK * _WINDOW
+                + 14 * _CHUNK) * 8 + 2 * _CHUNK * 1024
 
 #: Streams per path in the counter-based RNG keying.
 _STREAM_W, _STREAM_W_PERP, _STREAM_JUMP_TIMES, _STREAM_JUMP_SIGNS = range(4)
@@ -421,10 +424,10 @@ def check_grid(params: ModelParams, jumps: JumpParams | None, n_paths: int,
 
     Rejects a non-positive path count, a ``dt`` that is not finite or does
     not divide the horizon, a ``dt`` too coarse for the jumps, a bad
-    ``record_every``, and a run whose recorded arrays and per-record items
-    plus one chunk's window of noise, drawing block, step-loop arrays,
-    streams and jump events and one item per Euler step, or one block of
-    jump draws, exceed physical memory.  Returns the number of Euler steps.
+    ``record_every``, and a run whose recorded arrays and per-record items,
+    one item per Euler step and one chunk's jump events plus the fixed
+    ``_CHUNK_BYTES`` of a chunk, or one block of jump draws, exceed
+    physical memory.  Returns the number of Euler steps.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
@@ -444,20 +447,14 @@ def check_grid(params: ModelParams, jumps: JumpParams | None, n_paths: int,
     draws = 0.0 if jumps is None else jumps.lam * params.horizon
     # recorded arrays (x, y, d, p_hat, q, jump_flag) and 5 items per
     # recorded node: the node array, the times, with jumps the positions
-    # that put jump counts at recorded nodes, and two of headroom; plus
-    # one chunk's window of noise (dw, db), its jump events, at most one
-    # per node and path, which peak at 5 items each while being sorted,
-    # 14 items a path of step-loop arrays (state, cost, scratch and the
-    # rate rule's temporaries; tracemalloc, one window, 512 to 2048 paths),
-    # the block its normals are drawn into, and one item per node
-    # (``record_pos``): 8-byte items throughout; then the chunk's two
-    # streams a path, kept from window to window or held by a jump block
-    chunk, window = min(n_paths, _CHUNK), min(_WINDOW, n_steps)
+    # that put jump counts at recorded nodes, and two of headroom; one item
+    # per node (``record_pos``); a chunk's jump events, at most one per
+    # node and path, which peak at 5 items each while being sorted: 8-byte
+    # items throughout; then the fixed rest of a chunk
+    chunk = min(n_paths, _CHUNK)
     events = math.ceil(min(draws, n_steps + 1))
     needed = ((n_paths * n_recorded * 6 + n_recorded * 5 + n_steps + 1
-               + chunk * (2 * window + 5 * events + 14)
-               + 2 * min(_BLOCK, chunk) * window) * 8
-              + 2 * chunk * _STREAM_BYTES)
+               + chunk * 5 * events) * 8 + _CHUNK_BYTES)
     model.check_memory(needed, f"{n_paths} paths at dt = {dt:g} s")
     # a block of jump draws peaks at 91 to 95 B a draw while merged
     # (tracemalloc, one path of 1e6 and 1e5 draws): the drawn arrays, and

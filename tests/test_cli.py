@@ -42,6 +42,27 @@ class TestTables:
         assert [r[0] for r in rows["table3.csv"]] == ["500", "50", "40", "30",
                                                       "20"]
 
+    def test_jump_config_exits_1(self, tmp_path, capsys):
+        """The tables are the no-jump closed forms: a jump config used to
+        write the same bytes as its no-jump parameters."""
+        out = tmp_path / "tables"
+        assert run(["tables", "--config", "sim-jump-neg",
+                    "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: the config has a jump block: tables "
+                                "and delay model no jumps\n")
+        assert captured.out == "" and not out.exists()
+
+    def test_delay_hours_is_not_read(self, tmp_path):
+        delayed = edited_preset(tmp_path / "delayed.json", "table13",
+                                lambda p: p.update(delay_hours=4))
+        for config, out in ((delayed, "delayed"), ("table13", "plain")):
+            assert run(["tables", "--config", config,
+                        "--out", str(tmp_path / out)]) == 0
+        for name in ("table1.csv", "table2.csv", "table3.csv"):
+            assert ((tmp_path / "delayed" / name).read_bytes()
+                    == (tmp_path / "plain" / name).read_bytes())
+
 
 class TestSimulate:
     def test_scenario_writes_paths(self, tmp_path):
@@ -151,6 +172,27 @@ class TestVerify:
         assert err.startswith("error:") and "at least 2" in err
         assert out_text == ""
         assert not out.exists()
+
+    def test_too_coarse_dt_exits_1_before_the_oracle(self, tmp_path,
+                                                     monkeypatch, capsys):
+        """verify records every 60th node, and the drift slope needs 3 of
+        them before the horizon: at dt = 720 s the 24 h horizon has 120
+        steps and 2 such nodes.  It used to run the oracle and 2000 paths,
+        then exit 1."""
+        def not_called(*args, **kwargs):
+            raise AssertionError("the oracle ran before the dt check")
+
+        monkeypatch.setattr(oracle, "integrate_jump_riccati", not_called)
+        out = tmp_path / "report"
+        assert run(["verify", "--dt", "720", "--out", str(out)]) == 1
+        out_text, err = capsys.readouterr()
+        assert err.startswith("error: dt must be below horizon / 120 = 720 s")
+        assert out_text == "" and not out.exists()
+
+    def test_coarsest_dt_passes(self, tmp_path):
+        """dt = 600 s: 144 steps, 3 recorded nodes before the horizon."""
+        assert run(["verify", "--dt", "600", "--paths", "400",
+                    "--out", str(tmp_path)]) == 0
 
     def test_blown_up_integration_exits_2(self, tmp_path, capsys):
         """sigma0 = 1e20 makes the RK4 oracle blow up at its first step:

@@ -566,21 +566,44 @@ class TestMemory:
 
     @pytest.mark.parametrize("hours, with_jumps, n", [
         (2, False, 2048), (2, True, 2048), (6, False, 2048),
-        (2, False, 512)], ids=["2h", "2h-jumps", "6h", "2h-512"])
+        (2, False, 512), (2, False, 1), (2, True, 1), (6, False, 1),
+        (6, True, 1), (6, False, 8), (6, True, 8)],
+        ids=["2h", "2h-jumps", "6h", "2h-512", "2h-1", "2h-jumps-1", "6h-1",
+             "6h-jumps-1", "6h-8", "6h-jumps-8"])
     def test_one_window_runs_are_budgeted(self, sim_params, jumps_negative,
                                           hours, with_jumps, n, monkeypatch):
-        """A horizon of one noise window at dt = 60 s: the chunk holds the
-        window, the block its normals are drawn into and 14 items a path
-        of step-loop arrays; its streams are made as each path draws.
-        Measured 0.51, 0.51, 0.75 and 0.53 of the budget, and 0.997 to
-        1.004 of it less the streams; without the block, the step-loop
-        items and the streams the budget read 1.09, 1.07, 1.05 and 1.18."""
+        """A horizon of one noise window at dt = 60 s: the chunk holds a
+        window of the run's length, the block its normals are drawn into
+        and 14 items a path of step-loop arrays, and its streams are made
+        as each path draws.  ``_CHUNK_BYTES`` holds a full chunk's longest
+        window, block and streams.  Measured 0.26, 0.26, 0.75 and 0.07 of
+        the budget; 1 path 0.0008 (2 h) and 0.0015 (6 h), 8 paths 0.0076.
+        A budget of each run's own window, block and streams read 0.51,
+        0.51, 0.75 and 0.53, but 1.85, 1.90, 1.51, 1.52, 1.11 and 1.11 for
+        the runs of 1 and 8 paths: Python objects, array headers and the
+        window's event bounds, which no term counted, outweigh them."""
         needed = {}
         monkeypatch.setattr(model, "check_memory",
                             lambda size, what: needed.setdefault(what, size))
         params = replace(sim_params, horizon=hours * HOUR)
         jumps = jumps_negative if with_jumps else None
         peak = self._traced_peak(params, jumps, n, 60.0)
+        assert peak <= needed[f"{n} paths at dt = 60 s"]
+
+    @pytest.mark.parametrize("with_jumps", [False, True],
+                             ids=["no-jumps", "jumps"])
+    @pytest.mark.parametrize("n", [1, 8])
+    def test_few_path_runs_are_budgeted(self, sim_params, jumps_negative, n,
+                                        with_jumps, monkeypatch):
+        """24 h at dt = 60 s, four noise windows, 1 and 8 paths: measured
+        0.0016 and 0.0083 of the budget.  A budget of each run's own
+        window, block and streams read 1.06 for 1 path (1.07 with jumps)
+        and 1.13 for 8."""
+        needed = {}
+        monkeypatch.setattr(model, "check_memory",
+                            lambda size, what: needed.setdefault(what, size))
+        jumps = jumps_negative if with_jumps else None
+        peak = self._traced_peak(sim_params, jumps, n, 60.0)
         assert peak <= needed[f"{n} paths at dt = 60 s"]
 
     def test_peak_grows_at_most_one_item_per_node(self, sim_params,
@@ -603,10 +626,11 @@ class TestMemory:
         """Every node recorded at dt = 1 s: the run holds the recorded
         arrays and, per recorded node, the node array and the times, and
         with jumps the positions that put jump counts at recorded nodes
-        and one item per node.  Measured 0.67 and 0.93 of the budget
-        without jumps, 0.83 and 0.96 with sim-jump-neg's jumps; with 4
-        items per record the jump case read 0.91 and 0.98.  About 20 s
-        each: tracemalloc slows the 86 400 steps."""
+        and one item per node.  Measured 0.22 and 0.64 of the budget
+        without jumps, 0.28 and 0.67 with sim-jump-neg's jumps.  Of the
+        budget less ``_CHUNK_BYTES`` they read 0.67, 0.93, 0.83 and 0.96,
+        and with 4 items per record the jump case would read 0.91 and
+        0.98.  About 20 s each: tracemalloc slows the 86 400 steps."""
         needed = {}
         monkeypatch.setattr(model, "check_memory",
                             lambda size, what: needed.setdefault(what, size))
