@@ -731,6 +731,81 @@ class TestJumpBoundPinned:
                                                           rel=1e-13, abs=0.0)
 
 
+class TestJumpBoundDigest:
+    """sha256 of the jump bound's bits at sim-jump-neg's parameters over a
+    seeded grid: 100 states with tau from 0.02 T to T, tau in {1 ms, 1 s,
+    60 s, 1 h} x spread in {1, 20, 200} MW at y = 50, and one state whose
+    mean E[G] is negative (its right contour).  The shortfall probabilities
+    are held to the values taken with the digest."""
+
+    DIGEST = ("42269d712b2e9a70c86d8c3377d7fa65"
+              "919886ec2613c1819910b3d3cb4aa919")
+    SHORTFALL = (
+        5.813229098006305e-13, 7.144229971198072e-18, 1.2178043866709914e-19,
+        2.249326084621632e-60, 2.8576888024917203e-40, 1.0,
+        1.5607491906548093e-09, 6.900201746152517e-19, 5.984763083237611e-06,
+        3.524859412244652e-21, 1.041586734168641e-27, 2.4571243265762947e-08,
+        4.15552151660519e-05, 1.076161148252987e-49, 0.011100914018240255,
+        3.761712479901974e-09, 2.422726992387096e-16, 1.0,
+        6.550663311393332e-20, 1.2247786573263388e-15, 4.827152693506867e-12,
+        2.092823047090046e-19, 0.05773287527875083, 5.578630284232587e-07,
+        1.7160691226520364e-32, 2.6906114918567635e-09, 1.5317596593252382e-07,
+        0.2463588669661738, 1.7548095751143563e-20, 1.0778845936492392e-14,
+        0.5135051883374397, 2.297261907511901e-13, 2.706348979472265e-09,
+        4.470388578549415e-16, 0.10144441473179065, 1.0176866551965455e-26,
+        0.08961967470290354, 3.362297548156608e-05, 4.311860792420293e-19,
+        1.0156448730703828e-08, 0.9984016726544699, 7.60739365951043e-05,
+        2.0747214331683652e-22, 2.705426150101883e-25, 1.5996534014668078e-24,
+        0.00023726047603128513, 5.008405434932263e-19, 6.281340291447548e-15,
+        1.1625732037384588e-13, 0.4593068125702202, 5.2011303265427255e-20,
+        1.2056602305411271e-15, 0.9999982942465139, 0.9999999994337226,
+        0.06151088528515553, 1.3541597655463947e-21, 0.017707425341646623,
+        3.455808052999271e-10, 3.457305646965357e-28, 1.1576171650432256e-28,
+        5.046730225772648e-25, 1.4568875349952746e-06, 0.00014768862431500254,
+        0.00019084757755120314, 0.040532886842423406, 0.002084839781228877,
+        1.4528125790981493e-17, 0.9994901729022992, 2.653083950523236e-18,
+        1.5616147522939285e-20, 3.598117705998935e-08, 0.08952609801373218,
+        1.0, 2.337752434740574e-10, 0.0009227737282940609, 0.999266957473488,
+        0.9961248688647993, 0.9999999999999409, 2.9271116675251022e-25,
+        0.9999945960126759, 0.0001919479165950056, 0.00019529969277712312,
+        2.5041888233256267e-25, 5.790326462561516e-24, 1.7819819241119742e-35,
+        6.205139359390586e-19, 1.5750459610588498e-10, 4.056732751032641e-18,
+        1.4688948936761794e-05, 3.9061704200938567e-20, 0.9999999999985261,
+        1.5544292876493905e-08, 5.28925615303374e-13, 0.0013837193773285263,
+        1.0596823816029146e-06, 0.22981783204358475, 1.8567873147824062e-23,
+        0.9936183049844773, 7.311542925972791e-08, 6.406835168323043e-26,
+        0.02750909524250927, 1.2152777546311968e-08, 1.215277771207588e-08,
+        0.23104578404792284, 0.030402744069152825, 1.2152703933064589e-05,
+        0.0007290368573137471, 0.0007289632722401321, 0.0007289008648299233,
+        6.353256200260042e-10, 6.279757814523885e-10, 5.634629446842848e-10,
+        0.7191954182221156,
+    )
+
+    @staticmethod
+    def _states(params):
+        rng = np.random.default_rng(28)
+        states = list(zip(rng.uniform(0.02, 1.0, 100) * params.horizon,
+                          rng.uniform(-1e4, 1e5, 100),
+                          rng.uniform(-50.0, 200.0, 100)))
+        states += [(tau, spread, 50.0) for tau in (1e-3, 1.0, 60.0, HOUR)
+                   for spread in (1.0, 20.0, 200.0)]
+        return states + [(24 * HOUR, 0.0, 0.0)]
+
+    def test_digest(self, sim_params_eta200, jumps_negative):
+        sha, shortfall = hashlib.sha256(), []
+        for state in self._states(sim_params_eta200):
+            rep = error_bounds.error_bound_jump(*state, sim_params_eta200,
+                                                jumps_negative)
+            sha.update(np.float64(rep.bound).tobytes())
+            shortfall.append(rep.shortfall_probability)
+        assert sha.hexdigest() == self.DIGEST
+        expected = np.array(self.SHORTFALL)
+        error = np.abs(np.array(shortfall) - expected)
+        assert error.max() <= 1e-14
+        large = expected >= 1e-6
+        assert np.all(error[large] <= 1e-12 * expected[large])
+
+
 class TestLogTimeNodes:
     """sha256 of the nodes, the weights and the panel width of the
     composite Gauss–Legendre rule: the jump bound's 8 panels over a day and
