@@ -232,6 +232,8 @@ def expected_rate_turning_time(state: MarketState, params: ModelParams,
     if jumps is None or jumps.pi == 0.0:
         raise ValueError("turning time requires lam * pi != 0")
     tau = params.horizon - state.t
+    if not tau >= 0:  # also refuses nan
+        raise ValueError("time-to-go must be nonnegative")
     q0 = feedback_rate_jump(tau, state.spread, state.y, params, jumps)
     s_bar = 2.0 * params.gamma / (jumps.lam * jumps.pi) * q0
     horizon = tau

@@ -29,10 +29,10 @@ def _check_delay(h: float, params: ModelParams) -> None:
 
 def _variance_after(tau: float, h: float, params: ModelParams) -> float:
     """Spread variance V(tau) - V(h) accrued after a decision h before T."""
+    v_tau = error_bounds.variance_spread(tau, params)  # refuses tau < 0
     if h > tau:
         raise ValueError("delay exceeds remaining time-to-go")
-    return max(error_bounds.variance_spread(tau, params)
-               - error_bounds.variance_spread(h, params), 0.0)
+    return max(v_tau - error_bounds.variance_spread(h, params), 0.0)
 
 
 def delay_constant(h: float, params: ModelParams) -> float:

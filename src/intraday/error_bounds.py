@@ -312,15 +312,16 @@ class _JumpSpread:
     ``weights``, and Z standard normal.
 
     log M(s) = s m + V s^2 / 2 + rate (E[e^{sJ}] - 1).  E[(G^-)^2] and
-    P(G < 0) are inverse Laplace transforms of M, integrated on the line
-    Re s = -alpha by the trapezoid rule in omega = Im s:
+    P(G < 0) are inverse Laplace transforms of M, and any line
+    Re s = -alpha, alpha > 0, gives both; they are integrated on one line
+    by the trapezoid rule in omega = Im s:
 
         E[(G^-)^2] = (1/pi) int_0^inf Re[2 (alpha - i omega)^-3 M(-alpha + i omega)] d omega,
         P(G < 0)   = (1/pi) int_0^inf Re[(alpha - i omega)^-1 M(-alpha + i omega)] d omega,
 
-    and the same of G^+ on Re s = +alpha with the kernel s^-k (Rogers &
-    Zane, Ann. Appl. Probab. 9(2), 1999; Trefethen & Weideman, SIAM Review
-    56(3), 2014).
+    and the same of G^+ on Re s = +alpha with the kernels 2 s^-3 and s^-1
+    (Rogers & Zane, Ann. Appl. Probab. 9(2), 1999; Trefethen & Weideman,
+    SIAM Review 56(3), 2014).
     """
 
     def __init__(self, mean: float, variance: float, rate: float,
@@ -342,12 +343,13 @@ class _JumpSpread:
         return (self.m + self.v * sigma + self.rate * (tilted @ self.sizes),
                 self.v + self.rate * (tilted @ self.squares))
 
-    def _saddle(self, k: int, side: int) -> tuple[float, int]:
-        """alpha > 0 at the minimum of K(side alpha) - k log alpha, and the
-        number of evaluations of K' and K'' that found it.
+    def _saddle(self, side: int) -> tuple[float, int]:
+        """alpha > 0 at the minimum of K(side alpha) - 3 log alpha, the
+        saddle point of the second moment's kernel, and the number of
+        evaluations of K' and K'' that found it.
 
-        Its derivative g(alpha) = side K'(side alpha) - k / alpha increases.
-        Without jumps, g's root is that of v alpha^2 + side m alpha - k.
+        Its derivative g(alpha) = side K'(side alpha) - 3 / alpha increases.
+        Without jumps, g's root is that of v alpha^2 + side m alpha - 3.
         The jump term side rate E[J e^{side alpha J}] is >= 0 on the left
         (side = -1), so that root bounds alpha from above, and a lower bound
         is found by dividing by 2, 4, 16, ...; on the right it lies in
@@ -356,13 +358,13 @@ class _JumpSpread:
         """
         def gaussian_root(mean):
             mm = side * mean
-            root = math.hypot(mm, 2.0 * math.sqrt(self.v * k))
-            return 2.0 * k / (root + mm) if mm > 0 else (root - mm) / (2.0 * self.v)
+            root = math.hypot(mm, 2.0 * math.sqrt(self.v * 3))
+            return 6.0 / (root + mm) if mm > 0 else (root - mm) / (2.0 * self.v)
 
         if side < 0:
             hi = lo = gaussian_root(self.m)
             shift = bracketing = 1
-            while -self.slopes(-lo)[0] - k / lo >= 0:
+            while -self.slopes(-lo)[0] - 3 / lo >= 0:
                 hi, lo = lo, max(math.ldexp(lo, -shift), 5e-324)
                 shift *= 2
                 bracketing += 1
@@ -373,12 +375,12 @@ class _JumpSpread:
         alpha, last = math.sqrt(lo * hi), hi - lo
         for newton in range(1, 201):
             k1, k2 = self.slopes(side * alpha)
-            slope = side * k1 - k / alpha
+            slope = side * k1 - 3 / alpha
             if slope > 0:
                 hi = alpha
             else:
                 lo = alpha
-            step = alpha - slope / (k2 + k / alpha**2)
+            step = alpha - slope / (k2 + 3 / alpha**2)
             # bisect where Newton leaves the bracket (or is nan) or crawls,
             # as on the exponential wall of a large jump
             if not (lo < step < hi and abs(step - alpha) < 0.5 * last):
@@ -388,40 +390,44 @@ class _JumpSpread:
             alpha, last = step, abs(step - alpha)
         raise ValueError("the saddle point search did not converge")
 
-    def contour(self, k: int, side: int) -> float:
-        """E[(G^-)^2] (k = 3) or P(G < 0) (k = 1) for side = -1; the same of
-        G^+ for side = +1.
+    def contour(self, side: int) -> tuple[float, float]:
+        """E[(G^-)^2] and P(G < 0) for side = -1, the same of G^+ for
+        side = +1, from one line through the second moment's saddle point.
 
         The trapezoid step h comes from the strip of analyticity
-        |Im omega| < d, d < alpha (the kernel's pole at s = 0): its error
+        |Im omega| < d, d < alpha (the kernels' pole at s = 0): its error
         is about e^{phi(alpha +- d) - phi(alpha) - 2 pi d / h} of the
-        integrand at omega = 0, where phi(a) = K(side a) - k log a, and h
+        integrand at omega = 0, where phi(a) = K(side a) - 3 log a, and h
         is the largest over a few d.  |M| falls at least like
-        e^{-V omega^2 / 2}, which bounds the range; summing stops earlier
-        once a block of frequencies is below ``_EPS`` of the first.  A state
-        that needs more than ``_MAX_FREQUENCIES`` is refused.
+        e^{-V omega^2 / 2}, which bounds the range.  Each kernel stops
+        summing after its first block of frequencies below ``_EPS`` of its
+        value at omega = 0.  Scaled so, 2 s^-3 M falls faster than s^-1 M,
+        so the probability's sum runs on after the second moment's stops.
+        A state that needs more than ``_MAX_FREQUENCIES`` is refused.
 
         The jump transform E[e^{(sigma + i omega) J}] of the block of
         frequencies omega = h (start + j), j < ``_CONTOUR_BLOCK``, is
         ``table @ (e^{i h start J} tilted)``, with the phase table
         ``table[j, m] = e^{i h j J_m}`` built once per contour and
         ``tilted = e^{sigma J} weights``: a block takes one complex
-        exponential per jump size and one product with the table.
+        exponential per jump size and one product with the table, shared
+        by both kernels.
         """
-        alpha, evaluations = self._saddle(k, side)
+        alpha, evaluations = self._saddle(side)
         sigma = side * alpha
         k0 = self.log_mgf(sigma)
         k2 = self.slopes(sigma)[1]
-        log_scale = k0 - k * math.log(alpha)
-        if log_scale < -800.0:  # underflows with any step and range
-            self._log(k, side, alpha, math.nan, 0, evaluations)
-            return 0.0
+        log_scale = k0 - 3 * math.log(alpha)
+        if max(log_scale, k0 - math.log(alpha)) < -800.0:
+            # both underflow with any step and range
+            self._log(side, alpha, math.nan, 0, evaluations)
+            return 0.0, 0.0
         digits = -math.log(_EPS)
         d = np.array([0.25, 0.5, 1.0, 2.0]) * math.sqrt(
-            2.0 * digits / (k2 + k / alpha**2))
+            2.0 * digits / (k2 + 3 / alpha**2))
         d = np.append(d[d < 0.9 * alpha], [0.5 * alpha, 0.9 * alpha])
         shifted = np.concatenate([alpha + d, alpha - d])
-        phi = self.log_mgf(side * shifted) - k * np.log(shifted)
+        phi = self.log_mgf(side * shifted) - 3 * np.log(shifted)
         growth = np.maximum(phi[:d.size], phi[d.size:]) - log_scale
         h = float(np.max(2.0 * math.pi * d / (growth + digits)))
         limit = math.sqrt(2.0 * digits / self.v)
@@ -430,8 +436,8 @@ class _JumpSpread:
         base = tilted.sum()
         steps = np.arange(_CONTOUR_BLOCK)
         table = np.exp(1j * np.outer(h * steps, self.sizes))
-        numerator = 2.0 if k == 3 else 1.0
-        total = peak = 0.0
+        second = probability = 0.0
+        summing_second = True
         for start in range(0, _MAX_FREQUENCIES, _CONTOUR_BLOCK):
             omega = h * (start + steps)
             # einsum, not @: OpenBLAS may spread a complex product of this
@@ -440,14 +446,23 @@ class _JumpSpread:
             transform = np.einsum(
                 "jm,m->j", table,
                 np.exp(1j * (h * start) * self.sizes) * tilted)
-            s = sigma + 1j * omega
-            values = numerator / (side * s) ** k * np.exp(
+            s = side * (sigma + 1j * omega)
+            mgf = np.exp(
                 1j * omega * self.m + self.v * omega * (1j * sigma - 0.5 * omega)
                 + self.rate * (transform - base))
+            if summing_second:
+                values = 2.0 / s**3 * mgf
+                if start == 0:
+                    second_peak = abs(values[0])
+                    values[0] *= 0.5
+                second += values.real.sum()
+                if np.abs(values).max() < _EPS * second_peak:
+                    summing_second = False
+            values = mgf / s
             if start == 0:
                 peak = abs(values[0])
                 values[0] *= 0.5
-            total += values.real.sum()
+            probability += values.real.sum()
             if omega[-1] >= limit or np.abs(values).max() < _EPS * peak:
                 break
         else:
@@ -456,15 +471,15 @@ class _JumpSpread:
                 f"frequencies at this state: the terminal spread's diffusion "
                 f"(sd {math.sqrt(self.v):.3g} MW) is narrow against its "
                 f"jumps (up to {-self.sizes.min():.3g} MW)")
-        self._log(k, side, alpha, h, start + _CONTOUR_BLOCK, evaluations)
-        return float(np.exp(k0) * h * total / math.pi)
+        self._log(side, alpha, h, start + _CONTOUR_BLOCK, evaluations)
+        return (float(np.exp(k0) * h * second / math.pi),
+                float(np.exp(k0) * h * probability / math.pi))
 
     @staticmethod
-    def _log(k, side, alpha, h, frequencies, evaluations):
-        logger.debug("contour k = %d, side %+d: alpha %.6g, step h %.6g, "
+    def _log(side, alpha, h, frequencies, evaluations):
+        logger.debug("contour side %+d: alpha %.6g, step h %.6g, "
                      "%d frequencies, %d evaluations of K' and K'' in the "
-                     "saddle search", k, side, alpha, h, frequencies,
-                     evaluations)
+                     "saddle search", side, alpha, h, frequencies, evaluations)
 
     def left_tail(self) -> tuple[float, float]:
         """E[(G^-)^2] and P(G < 0).  For E[G] < 0 the left contour's alpha
@@ -473,13 +488,14 @@ class _JumpSpread:
         sizes, weights = self.sizes, self.weights
         mean = self.m + self.rate * (weights @ sizes)
         if mean >= 0.0:
-            return (max(self.contour(3, -1), 0.0),
-                    min(max(self.contour(1, -1), 0.0), 1.0))
+            second, probability = self.contour(-1)
+            return max(second, 0.0), min(max(probability, 0.0), 1.0)
         second = mean**2 + self.v + self.rate * (weights @ sizes**2)
         if not math.isfinite(second):
             return second, 1.0
-        return (max(second - self.contour(3, 1), 0.0),
-                min(max(1.0 - self.contour(1, 1), 0.0), 1.0))
+        right, probability = self.contour(1)
+        return (max(second - right, 0.0),
+                min(max(1.0 - probability, 0.0), 1.0))
 
 
 def _negative_jump_law(tau, params: ModelParams, jumps: JumpParams):

@@ -181,6 +181,26 @@ class TestPostDecisionRate:
             pytest.approx(q0 - shift, rel=1e-12)
 
 
+class TestAfterDelivery:
+    @pytest.mark.parametrize("call", [
+        lambda state, p, j: closed_form.expected_rate_turning_time(state, p, j),
+        lambda state, p, j: delay.error_bound_delay(state, p, HOUR),
+        lambda state, p, j: delay.post_decision_mean_rate(state, p, HOUR),
+        lambda state, p, j: closed_form.value_aux(state, p),
+        lambda state, p, j: closed_form.value_aux_jump(state, p, j),
+    ], ids=["turning-time", "error-bound-delay", "post-decision-rate",
+            "value-aux", "value-aux-jump"])
+    def test_state_after_delivery_is_refused(self, sim_params_eta200,
+                                             jumps_negative, call):
+        """A day after delivery (t = 2 T) every state function refuses the
+        negative time-to-go, and says so, instead of a value or a message
+        about the delay."""
+        p = sim_params_eta200
+        state = MarketState(t=2.0 * p.horizon, x=0.0, y=50.0, d=50_000.0)
+        with pytest.raises(ValueError, match="time-to-go must be nonnegative"):
+            call(state, p, jumps_negative)
+
+
 class TestCompositePolicy:
     def test_rate_switches_at_decision_time(self, sim_params_eta200):
         p = sim_params_eta200

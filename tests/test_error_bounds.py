@@ -837,27 +837,30 @@ class TestLogTimeNodes:
 class TestJumpBoundLog:
     def test_one_record_per_contour(self, sim_params_eta200, jumps_negative,
                                     caplog):
-        """At the CLI default the two left contours each log k, side,
-        alpha, h, the frequencies summed and the saddle search's
-        evaluations of K' and K''; at WARNING nothing is logged."""
-        state = (24 * HOUR, 50_000.0, 50.0, sim_params_eta200, jumps_negative)
-        with caplog.at_level(logging.WARNING, logger="intraday.error_bounds"):
-            error_bounds.error_bound_jump(*state)
-        assert caplog.records == []
-        with caplog.at_level(logging.DEBUG, logger="intraday.error_bounds"):
-            error_bounds.error_bound_jump(*state)
+        """One contour gives both the second moment and the probability,
+        and logs one record: its side, alpha, h, the frequencies summed and
+        the saddle search's evaluations of K' and K''.  The CLI default
+        takes the left tail; E[G] < 0 at spread 0 and y = 0 takes the
+        right.  At WARNING nothing is logged."""
         pattern = re.compile(
-            r"contour k = (\d), side ([+-]1): alpha (\S+), step h (\S+), "
+            r"contour side ([+-]1): alpha (\S+), step h (\S+), "
             r"(\d+) frequencies, (\d+) evaluations of K' and K'' in the "
             r"saddle search")
-        fields = []
-        for record in caplog.records:
+        for spread, y, side in [(50_000.0, 50.0, "-1"), (0.0, 0.0, "+1")]:
+            state = (24 * HOUR, spread, y, sim_params_eta200, jumps_negative)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING,
+                                 logger="intraday.error_bounds"):
+                error_bounds.error_bound_jump(*state)
+            assert caplog.records == []
+            with caplog.at_level(logging.DEBUG, logger="intraday.error_bounds"):
+                error_bounds.error_bound_jump(*state)
+            [record] = caplog.records
             assert (record.name, record.levelno) == ("intraday.error_bounds",
                                                      logging.DEBUG)
-            fields.append(pattern.fullmatch(record.getMessage()).groups())
-        assert [(k, side) for k, side, *_ in fields] == [("3", "-1"),
-                                                         ("1", "-1")]
-        for _, _, alpha, h, frequencies, evaluations in fields:
+            logged_side, alpha, h, frequencies, evaluations = (
+                pattern.fullmatch(record.getMessage()).groups())
+            assert logged_side == side
             assert 0.0 < float(h) < float(alpha)
             assert int(frequencies) % error_bounds._CONTOUR_BLOCK == 0
             assert int(frequencies) > 0 and int(evaluations) > 0
