@@ -418,8 +418,7 @@ class _JumpSpread:
         k0 = self.log_mgf(sigma)
         k2 = self.slopes(sigma)[1]
         log_scale = k0 - 3 * math.log(alpha)
-        if max(log_scale, k0 - math.log(alpha)) < -800.0:
-            # both underflow with any step and range
+        if max(log_scale, k0 - math.log(alpha)) < -800.0:  # both underflow
             self._log(side, alpha, math.nan, 0, evaluations)
             return 0.0, 0.0
         digits = -math.log(_EPS)
@@ -489,13 +488,13 @@ class _JumpSpread:
         mean = self.m + self.rate * (weights @ sizes)
         if mean >= 0.0:
             second, probability = self.contour(-1)
-            return max(second, 0.0), min(max(probability, 0.0), 1.0)
-        second = mean**2 + self.v + self.rate * (weights @ sizes**2)
-        if not math.isfinite(second):
-            return second, 1.0
-        right, probability = self.contour(1)
-        return (max(second - right, 0.0),
-                min(max(1.0 - probability, 0.0), 1.0))
+        else:
+            total = mean**2 + self.v + self.rate * (weights @ sizes**2)
+            if not math.isfinite(total):
+                return total, 1.0
+            right, above = self.contour(1)
+            second, probability = total - right, 1.0 - above
+        return max(second, 0.0), min(max(probability, 0.0), 1.0)
 
 
 def _negative_jump_law(tau, params: ModelParams, jumps: JumpParams):
@@ -527,8 +526,9 @@ def error_bound_jump(tau, spread, y, params: ModelParams,
         (delta- (nu (tau - s) + 2 gamma) + pi- (tau - s))
             / ((r + nu)(tau - s) + 2 gamma).
 
-    Both are saddle-point contour integrals of the Laplace transform of G
-    (see ``_JumpSpread``), deterministic, and closed form when p- = 0 or
+    Both come from one saddle-point contour integral of the Laplace
+    transform of G, on one line through the second moment's saddle point
+    (see ``_JumpSpread``): deterministic, and closed form when p- = 0 or
     ``jumps`` is None.  ``seed`` is range-checked and not read.
 
     Floor: the error follows the Chernoff scale, the integrand at the

@@ -391,7 +391,7 @@ class TestGoldenPaths:
 
     def test_many_flushes_across_chunks(self, jumps_negative):
         """20 jumps a day over 2100 paths: each chunk merges its jump draws
-        in many batches, and the second chunk starts mid-run.  Digest taken
+        in many blocks, and the second chunk starts mid-run.  Digest taken
         from the per-path merge."""
         paths = self._run(replace(jumps_negative, lam=20.0 / DAY), 2100, None)
         assert paths.n_paths > simulate._CHUNK
