@@ -544,8 +544,8 @@ def error_bound_jump(tau, spread, y, params: ModelParams,
     if jumps is None:
         return error_bound(tau, spread, y, params)
     prefactor = _bound_prefactor(params)
+    v = variance_spread(tau, params)  # refuses tau < 0 before log1p does
     m_l = float(mean_spread_jump(tau, spread, y, params, jumps))
-    v = variance_spread(tau, params)
     moments = SpreadMoments(mean=m_l, variance=v)  # refuses an overflow
     rate = jumps.lam * jumps.p_minus * tau
     if (rate == 0.0 or v == 0.0

@@ -188,8 +188,10 @@ class TestAfterDelivery:
         lambda state, p, j: delay.post_decision_mean_rate(state, p, HOUR),
         lambda state, p, j: closed_form.value_aux(state, p),
         lambda state, p, j: closed_form.value_aux_jump(state, p, j),
+        lambda state, p, j: error_bounds.error_bound_jump(
+            p.horizon - state.t, state.spread, state.y, p, j),
     ], ids=["turning-time", "error-bound-delay", "post-decision-rate",
-            "value-aux", "value-aux-jump"])
+            "value-aux", "value-aux-jump", "error-bound-jump"])
     def test_state_after_delivery_is_refused(self, sim_params_eta200,
                                              jumps_negative, call):
         """A day after delivery (t = 2 T) every state function refuses the
