@@ -401,8 +401,9 @@ class _JumpSpread:
         is the largest over a few d.  |M| falls at least like
         e^{-V omega^2 / 2}, which bounds the range.  Each kernel stops
         summing after its first block of frequencies below ``_EPS`` of its
-        value at omega = 0.  Scaled so, 2 s^-3 M falls faster than s^-1 M,
-        so the probability's sum runs on after the second moment's stops.
+        value at omega = 0.  Relative to that value, 2 s^-3 M falls faster
+        than s^-1 M, so the probability's sum runs on after the second
+        moment's has stopped.
         A state that needs more than ``_MAX_FREQUENCIES`` is refused.
 
         The jump transform E[e^{(sigma + i omega) J}] of the block of
