@@ -17,9 +17,13 @@ saddle-point contour integrals), and the limiting exponential rate
 constants.
 
 Phi(-z) is ``scipy.special.ndtr(-z)`` and phi(z) is
-``exp(-z**2 / 2) / sqrt(2 pi)`` on a numpy value: the bodies of
-``scipy.stats.norm.sf`` and ``.pdf`` without their per-call dispatch, so
-every value keeps the bits those would give.
+``exp(-z * z / 2) / sqrt(2 pi)``: the bodies of ``scipy.stats.norm.sf``
+and ``.pdf`` without their per-call dispatch, so every value keeps the
+bits those would give.  psi, psi_tilde and log_psi take a number or an
+array, with one set of formulas.  A Python float or int below 1e100 (a
+numpy float64 is a Python float) takes a float path without numpy's array
+conversion and error state, at about a fifth of the cost, and gives the
+bits of a 0-d array.
 """
 
 from __future__ import annotations
@@ -44,6 +48,10 @@ logger = logging.getLogger(__name__)
 #: series is better (1e-11).
 _TAIL_Z = 26.0
 
+#: Below this z a Python float takes the float path of ``_split``: the
+#: tail's z**3 stays finite (at most 1e300).
+_FLOAT_PATH_Z = 1e100
+
 # psi(z) / phi(z) ~ (2/z^3) (1 - 6/z^2 + 45/z^4 - 420/z^6 + 4725/z^8 - ...)
 _PSI_TAIL = (1.0, -6.0, 45.0, -420.0, 4725.0, -62370.0)
 # psi_tilde(z) / phi(z) ~ (1/z^2) (1 - 3/z^2 + 15/z^4 - 105/z^6 + ...)
@@ -53,8 +61,26 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 #: The 20-node Gauss–Legendre rule on [-1, 1] of :func:`log_time_nodes`,
-#: read-only: every call returns the same weights.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+#: read-only: every call returns the same weights.  The values of
+#: ``np.polynomial.legendre.leggauss(20)``, written out: computing them at
+#: import takes an eigenvalue solve, the process's first LAPACK call, which
+#: every process that never integrates would pay in memory.
+_GL_NODES = np.array([
+    -0.993128599185095, -0.9639719272779138, -0.912234428251326,
+    -0.8391169718222188, -0.7463319064601508, -0.636053680726515,
+    -0.5108670019508271, -0.37370608871541955, -0.22778585114164507,
+    -0.07652652113349734, 0.07652652113349734, 0.22778585114164507,
+    0.37370608871541955, 0.5108670019508271, 0.636053680726515,
+    0.7463319064601508, 0.8391169718222188, 0.912234428251326,
+    0.9639719272779138, 0.993128599185095])
+_GL_WEIGHTS = np.array([
+    0.017614007139150893, 0.040601429800386446, 0.06267204833410879,
+    0.08327674157670471, 0.1019301198172407, 0.1181945319615186,
+    0.1316886384491769, 0.1420961093183824, 0.14917298647260424,
+    0.15275338713072628, 0.15275338713072628, 0.14917298647260424,
+    0.1420961093183824, 0.1316886384491769, 0.1181945319615186,
+    0.1019301198172407, 0.08327674157670471, 0.06267204833410879,
+    0.040601429800386446, 0.017614007139150893])
 _GL_NODES.flags.writeable = _GL_WEIGHTS.flags.writeable = False
 
 #: Panels of 20 nodes in the jump-time average E[e^{sJ}] of
@@ -105,9 +131,12 @@ class ErrorBoundReport:
 
 
 def _tail_series(z, coefficients):
-    u = 1.0 / np.asarray(z, dtype=float) ** 2
-    total = np.zeros_like(u)
-    for c in reversed(coefficients):
+    """sum_k c_k z^(-2k) by Horner's scheme from the last coefficient, on
+    a number or an array.  ``z * z`` rounds like an array's ``z**2``, so
+    the float path's numpy float64 gets the bits of a 0-d array."""
+    u = 1.0 / (z * z)
+    total = coefficients[-1]
+    for c in reversed(coefficients[:-1]):
         total = total * u + c
     return total
 
@@ -118,19 +147,30 @@ def _norm_sf(z):
 
 
 def _norm_pdf(z):
-    """phi(z), the standard normal density.  Squared as a numpy array: a
-    Python or numpy scalar's ``**2`` goes through ``pow`` and misses the
-    array square by an ulp for about 1 value in 1000."""
-    z = np.asarray(z)
-    return np.exp(-z**2 / 2.0) / _SQRT_2PI
+    """phi(z), the standard normal density, on a number or an array: a
+    Python float on the float path of ``_split``, a numpy float64 in its
+    tail.  Squared as ``z * z``, which on an array rounds like numpy's
+    ``z**2``, so both get the bits of a 0-d array: a Python or numpy
+    scalar's ``**2`` goes through ``pow`` and misses the array square by an
+    ulp for about 1 value in 1000."""
+    return np.exp(-z * z / 2.0) / _SQRT_2PI
 
 
 def _split(z, direct, tail):
     """``direct`` below ``_TAIL_Z`` and ``tail`` from it on, each evaluated
-    only on its own side; the tail's z**3 overflows to inf quietly.  A
-    scalar keeps numpy's scalar arithmetic, an ulp off the array loops;
-    Phi(-z) is ``ndtr(-z)`` and phi is evaluated as a numpy array on
-    either side."""
+    only on its own side; the tail's z**3 overflows to inf quietly.
+
+    A Python float or int below ``_FLOAT_PATH_Z`` (a numpy float64 is a
+    Python float) takes the float path: ``direct`` runs on the Python
+    float and ``tail`` on a numpy float64, so that the tail's ``z**3``
+    keeps numpy's scalar ``pow``.  Nothing there can overflow, so it needs
+    no ``np.errstate``, and its bits equal those of a 0-d array.  Anything
+    else (nan, z >= ``_FLOAT_PATH_Z``, arrays) is converted to an array; a
+    0-d array keeps numpy's scalar arithmetic, an ulp off the array loops
+    in the tail.  Phi(-z) is ``ndtr(-z)`` on either path."""
+    if isinstance(z, (float, int)) and z < _FLOAT_PATH_Z:
+        z = float(z)
+        return float(direct(z) if z < _TAIL_Z else tail(np.float64(z)))
     z = np.asarray(z, dtype=float)
     with np.errstate(over="ignore", divide="ignore"):  # divide: log(0)
         if z.ndim == 0:
@@ -141,18 +181,29 @@ def _split(z, direct, tail):
     return out
 
 
+def _psi_direct(z):
+    """psi as defined, for z below the tail switch."""
+    return (z * z + 1.0) * _norm_sf(z) - z * _norm_pdf(z)
+
+
+def _log_clipped(x):
+    """log(max(x, 0)); on a number, -inf at x <= 0 without taking log(0)."""
+    if isinstance(x, np.ndarray):
+        return np.log(np.maximum(x, 0.0))
+    return -math.inf if x <= 0.0 else np.log(x)
+
+
 def psi(z):
     """psi(z) = (z^2 + 1) Phi(-z) - z phi(z); nonnegative and decreasing."""
     return _split(
-        z, lambda z: (z**2 + 1.0) * _norm_sf(z) - z * _norm_pdf(z),
+        z, _psi_direct,
         lambda z: _norm_pdf(z) * 2.0 / z**3 * _tail_series(z, _PSI_TAIL))
 
 
 def log_psi(z):
     """Natural log of psi(z), valid far beyond the underflow point of psi."""
     return _split(
-        z, lambda z: np.log(np.maximum(
-            (z**2 + 1.0) * _norm_sf(z) - z * _norm_pdf(z), 0.0)),
+        z, lambda z: _log_clipped(_psi_direct(z)),
         lambda z: (-0.5 * z**2 - _LOG_SQRT_2PI
                    + np.log(2.0 / z**3 * _tail_series(z, _PSI_TAIL))))
 

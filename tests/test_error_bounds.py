@@ -195,6 +195,76 @@ class TestNormalFunctions:
         capsys.readouterr()
 
 
+class TestFloatPath:
+    """A Python float, an int or a numpy float64 below 1e100 skips numpy's
+    array conversion and error state, and gives the bits of a 0-d array,
+    which takes the array path."""
+
+    KERNELS = ("psi", "psi_tilde", "log_psi")
+    EDGES = [0.0, -0.0, math.inf, math.nan, 5e-324, -5e-324, 1e-310,
+             -2.2250738585072014e-308, 1.0, -1.0,
+             np.nextafter(26.0, -math.inf), 26.0, np.nextafter(26.0, math.inf),
+             np.nextafter(1e100, -math.inf), 1e100, np.nextafter(1e100, math.inf),
+             np.nextafter(-1e100, -math.inf), -1e100,
+             np.nextafter(-1e100, math.inf), -1e200, 1e305]
+
+    @staticmethod
+    def check_same_bits_quietly(name, z):
+        f = getattr(error_bounds, name)
+        kinds = [float(z), np.float64(z), np.asarray(z)]
+        if math.isfinite(z) and float(z).is_integer():
+            kinds.append(int(z))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bits = [np.float64(f(k)).tobytes() for k in kinds]
+        assert bits == [bits[-1]] * len(bits), (name, z)
+
+    @pytest.mark.parametrize("name", KERNELS)
+    @pytest.mark.parametrize("z", EDGES)
+    def test_edges(self, name, z):
+        self.check_same_bits_quietly(name, z)
+
+    @pytest.mark.parametrize("name", KERNELS)
+    @given(z=st.floats().filter(lambda z: z != -math.inf))
+    @settings(max_examples=300, deadline=None)
+    def test_same_bits_as_a_0d_array(self, name, z):
+        self.check_same_bits_quietly(name, z)
+
+    @pytest.mark.xfail(strict=True, raises=RuntimeWarning, reason=(
+        "psi(-inf) and log_psi(-inf) are nan with an invalid-value warning "
+        "on every path, from -inf * phi(-inf) = -inf * 0; both tend to "
+        "+inf"))
+    def test_minus_inf(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert error_bounds.psi(-math.inf) == math.inf
+            assert error_bounds.log_psi(-math.inf) == math.inf
+
+    def test_takes_no_error_state(self, monkeypatch):
+        """Every float and int below 1e100 skips ``np.errstate``."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.errstate entered")
+
+        rng = np.random.default_rng(2)
+        z = np.concatenate([
+            rng.uniform(-40.0, 60.0, 300),
+            10.0 ** rng.uniform(-320.0, 100.0, 100),
+            -(10.0 ** rng.uniform(-320.0, 100.0, 100)),
+            [np.nextafter(26.0, -math.inf), 26.0,
+             np.nextafter(1e100, -math.inf), -1e200]])
+        values = [float(v) for v in z] + [-7, 0, 26, 40, 10**99]
+        expected = {name: np.array([getattr(error_bounds, name)(np.asarray(v))
+                                    for v in values]).tobytes()
+                    for name in self.KERNELS}
+        monkeypatch.setattr(np, "errstate", refuse)
+        for name in self.KERNELS:
+            f = getattr(error_bounds, name)
+            got = np.array([f(v) for v in values]).tobytes()
+            assert got == expected[name], name
+        with pytest.raises(AssertionError, match="errstate"):
+            error_bounds.psi(1e100)
+
+
 class TestSpreadMoments:
     @given(tau=st.floats(0.0, 48 * HOUR), d=st.floats(-1e5, 1e6),
            y=st.floats(-200.0, 1000.0))
@@ -825,6 +895,12 @@ class TestLogTimeNodes:
         for part in (u, weights, np.float64(width)):
             sha.update(part.tobytes())
         assert sha.hexdigest() == digest
+
+    def test_rule_is_leggauss(self):
+        """The rule is written out, with the bits of ``leggauss(20)``."""
+        nodes, weights = np.polynomial.legendre.leggauss(20)
+        assert error_bounds._GL_NODES.tobytes() == nodes.tobytes()
+        assert error_bounds._GL_WEIGHTS.tobytes() == weights.tobytes()
 
     def test_weights_are_read_only(self):
         """The weights are shared by every call."""
