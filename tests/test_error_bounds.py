@@ -211,13 +211,13 @@ class TestFloatPath:
     @staticmethod
     def check_same_bits_quietly(name, z):
         f = getattr(error_bounds, name)
-        kinds = [float(z), np.float64(z), np.asarray(z)]
+        kinds = [np.asarray(z), float(z), np.float64(z)]
         if math.isfinite(z) and float(z).is_integer():
             kinds.append(int(z))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             bits = [np.float64(f(k)).tobytes() for k in kinds]
-        assert bits == [bits[-1]] * len(bits), (name, z)
+        assert bits == [bits[0]] * len(bits), (name, z)
 
     @pytest.mark.parametrize("name", KERNELS)
     @pytest.mark.parametrize("z", EDGES)
