@@ -165,19 +165,23 @@ def _split(z, direct, tail):
     float and ``tail`` on a numpy float64, so that the tail's ``z**3``
     keeps numpy's scalar ``pow``.  Nothing there can overflow, so it needs
     no ``np.errstate``, and its bits equal those of a 0-d array.  Anything
-    else (nan, z >= ``_FLOAT_PATH_Z``, arrays) is converted to an array; a
-    0-d array keeps numpy's scalar arithmetic, an ulp off the array loops
-    in the tail.  Phi(-z) is ``ndtr(-z)`` on either path."""
-    if isinstance(z, (float, int)) and z < _FLOAT_PATH_Z:
+    else (nan, -inf, z >= ``_FLOAT_PATH_Z``, arrays) is converted to an
+    array; a 0-d array keeps numpy's scalar arithmetic, an ulp off the
+    array loops in the tail.  Phi(-z) is ``ndtr(-z)`` on either path.  At
+    z = -inf, where ``direct`` would take -inf * phi(-inf) = -inf * 0,
+    every kernel returns its limit +inf."""
+    if isinstance(z, (float, int)) and -math.inf < z < _FLOAT_PATH_Z:
         z = float(z)
         return float(direct(z) if z < _TAIL_Z else tail(np.float64(z)))
     z = np.asarray(z, dtype=float)
     with np.errstate(over="ignore", divide="ignore"):  # divide: log(0)
         if z.ndim == 0:
-            return float(direct(z) if z < _TAIL_Z else tail(z[()]))
-        low = z < _TAIL_Z
-        out = np.empty_like(z)
-        out[low], out[~low] = direct(z[low]), tail(z[~low])
+            return math.inf if z == -math.inf else float(
+                direct(z) if z < _TAIL_Z else tail(z[()]))
+        low, high = z < _TAIL_Z, ~(z < _TAIL_Z)
+        low[z == -math.inf] = False
+        out = np.full_like(z, math.inf)
+        out[low], out[high] = direct(z[low]), tail(z[high])
     return out
 
 
@@ -284,14 +288,20 @@ def error_bound(tau, spread, y, params: ModelParams) -> ErrorBoundReport:
 
 
 def log_error_bound(tau, spread, y, params: ModelParams) -> float:
-    """Natural log of the error bound; usable when the bound underflows."""
+    """Natural log of the error bound; usable when the bound underflows.
+    A bound that overflows float64 (log +inf or nan) is refused as by
+    :func:`error_bound`."""
     prefactor = _bound_prefactor(params)
     m = mean_spread(tau, spread, y, params)
     v = variance_spread(tau, params)
     if v == 0.0:
         return -math.inf
     z = m / math.sqrt(v)
-    return math.log(prefactor) + math.log(v) + float(log_psi(z))
+    log_bound = math.log(prefactor) + math.log(v) + float(log_psi(z))
+    if not log_bound < math.inf:
+        raise ValueError(f"the error bound overflows float64 at mean "
+                         f"terminal spread {m:g} MW")
+    return log_bound
 
 
 def asymptotic_rate_constants(tau, spread, y,

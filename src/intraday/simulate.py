@@ -262,17 +262,15 @@ def _jump_events(paths: PathSet, rows: slice, recorded: np.ndarray,
     Returns ``(key, jump_d, jump_y)`` with ``key = node * n + column``: one
     event per (node, path) that has jumps, its demand and price jumps
     summed in draw order.  The signed jump counts at recorded nodes go
-    straight into ``paths.jump_flag``.  Each path draws from its own
-    streams.  Paths draw in blocks whose expected draws add up to at most
-    one per grid step (the whole chunk when its draws do, else at least
-    one path), and each block's draws are merged into events as soon as
-    they are drawn.
+    straight into ``paths.jump_flag``, at columns found by ``searchsorted``
+    in ``recorded``.  Each path draws from its own streams.  Paths draw in
+    blocks whose expected draws add up to at most one per grid step (the
+    whole chunk when its draws do, else at least one path), and each
+    block's draws are merged into events as soon as they are drawn.
     """
     if jumps is None:
         return np.empty(0, np.int64), np.empty(0), np.empty(0)
     n, n_steps, dt = rows.stop - rows.start, int(recorded[-1]), paths.dt
-    record_pos = np.full(n_steps + 1, -1)
-    record_pos[recorded] = np.arange(recorded.size)
     draws = jumps.lam * horizon  # may underflow to 0.0: not divided by
     width = n if n * draws <= n_steps else max(1, int(n_steps // draws))
     flags = paths.jump_flag[rows]
@@ -284,23 +282,20 @@ def _jump_events(paths: PathSet, rows: slice, recorded: np.ndarray,
         # first grid node at or after the exact jump time
         nodes = np.minimum(np.ceil(times / dt - 1e-12).astype(np.int64),
                            n_steps)
-        pos = record_pos[nodes]
-        hit = pos >= 0
+        pos = np.searchsorted(recorded, nodes)
+        hit = recorded[pos] == nodes
         np.add.at(flags, (column[hit], pos[hit]), signs[hit])
-        # add.at sums each (node, path) from 0.0 in draw order; a pairwise
+        # bincount sums each (node, path) from 0.0 in draw order; a pairwise
         # sum would change the bits
         key, slot = np.unique(nodes * n + column, return_inverse=True)
         up = signs > 0
-        jump_d, jump_y = np.zeros(key.size), np.zeros(key.size)
-        np.add.at(jump_d, slot, np.where(up, jumps.delta_plus,
-                                         jumps.delta_minus))
-        np.add.at(jump_y, slot, np.where(up, jumps.pi_plus, jumps.pi_minus))
         keys.append(key)
-        d_parts.append(jump_d)
-        y_parts.append(jump_y)
+        d_parts.append(np.bincount(slot, np.where(
+            up, jumps.delta_plus, jumps.delta_minus), key.size))
+        y_parts.append(np.bincount(slot, np.where(
+            up, jumps.pi_plus, jumps.pi_minus), key.size))
         # free this block's arrays before the next block draws and the sort
         del times, signs, column, nodes, pos, hit, key, slot, up
-        del jump_d, jump_y
 
     order = np.argsort(np.concatenate(keys))
 
@@ -424,10 +419,10 @@ def check_grid(params: ModelParams, jumps: JumpParams | None, n_paths: int,
 
     Rejects a non-positive path count, a ``dt`` that is not finite or does
     not divide the horizon, a ``dt`` too coarse for the jumps, a bad
-    ``record_every``, and a run whose recorded arrays and per-record items,
-    one item per Euler step and one chunk's jump events plus the fixed
-    ``_CHUNK_BYTES`` of a chunk, or one block of jump draws, exceed
-    physical memory.  Returns the number of Euler steps.
+    ``record_every``, a run whose recorded arrays and per-record items and
+    one chunk's jump events plus the fixed ``_CHUNK_BYTES`` of a chunk, or
+    one block of jump draws, exceed physical memory, and more steps than
+    int64 event keys index.  Returns the number of Euler steps.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
@@ -446,14 +441,13 @@ def check_grid(params: ModelParams, jumps: JumpParams | None, n_paths: int,
     n_recorded = 1 if record_every is None else -(-n_steps // record_every) + 1
     draws = 0.0 if jumps is None else jumps.lam * params.horizon
     # recorded arrays (x, y, d, p_hat, q, jump_flag) and 5 items per
-    # recorded node: the node array, the times, with jumps the positions
-    # that put jump counts at recorded nodes, and two of headroom; one item
-    # per node (``record_pos``); a chunk's jump events, at most one per
-    # node and path, which peak at 5 items each while being sorted: 8-byte
-    # items throughout; then the fixed rest of a chunk
+    # recorded node: the node array, the times and three of headroom; a
+    # chunk's jump events, at most one per node and path, which peak at 5
+    # items each while being sorted: 8-byte items throughout; then the
+    # fixed rest of a chunk
     chunk = min(n_paths, _CHUNK)
     events = math.ceil(min(draws, n_steps + 1))
-    needed = ((n_paths * n_recorded * 6 + n_recorded * 5 + n_steps + 1
+    needed = ((n_paths * n_recorded * 6 + n_recorded * 5
                + chunk * 5 * events) * 8 + _CHUNK_BYTES)
     model.check_memory(needed, f"{n_paths} paths at dt = {dt:g} s")
     # a block of jump draws peaks at 91 to 95 B a draw while merged
@@ -464,6 +458,9 @@ def check_grid(params: ModelParams, jumps: JumpParams | None, n_paths: int,
     block = min(chunk * draws, max(n_steps, draws))
     model.check_memory(104 * block, f"{draws:.3g} expected jump draws per "
                        f"path (merged {block:.3g} at a time)")
+    # the nodes and the event keys node * n + column are int64
+    if (n_steps + _WINDOW) * chunk >= 2**63:
+        raise ValueError(f"{n_steps:.3g} steps overflow the int64 event keys")
     return n_steps
 
 

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import warnings
 
@@ -72,6 +73,19 @@ class TestSimulate:
         with path.open() as handle:
             content = list(csv.DictReader(handle))
         assert len(content) == 2 * 25  # 24 hourly steps + initial node
+
+    def test_last_node_past_the_horizon(self, tmp_path):
+        """At dt = 86 400 / 147 s the last node lies 1.5e-11 s past T: the
+        run writes every node, and the last rates are finite."""
+        assert run(["simulate", "--scenario", "nojump", "--paths", "3",
+                    "--dt", "587.7551020408164", "--out", str(tmp_path)]) == 0
+        with (tmp_path / "paths.csv").open() as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == 3 * 148
+        last = [row for row in rows if row["time_s"] == rows[-1]["time_s"]]
+        assert float(last[0]["time_s"]) > 86_400.0
+        assert len(last) == 3
+        assert all(math.isfinite(float(row["q"])) for row in last)
 
     def test_delay_scenario_runs(self, tmp_path):
         assert run(["simulate", "--scenario", "delay", "--paths", "1",

@@ -206,7 +206,7 @@ class TestFloatPath:
              np.nextafter(26.0, -math.inf), 26.0, np.nextafter(26.0, math.inf),
              np.nextafter(1e100, -math.inf), 1e100, np.nextafter(1e100, math.inf),
              np.nextafter(-1e100, -math.inf), -1e100,
-             np.nextafter(-1e100, math.inf), -1e200, 1e305]
+             np.nextafter(-1e100, math.inf), -1e200, 1e305, -math.inf]
 
     @staticmethod
     def check_same_bits_quietly(name, z):
@@ -225,20 +225,28 @@ class TestFloatPath:
         self.check_same_bits_quietly(name, z)
 
     @pytest.mark.parametrize("name", KERNELS)
-    @given(z=st.floats().filter(lambda z: z != -math.inf))
+    @given(z=st.floats())
     @settings(max_examples=300, deadline=None)
     def test_same_bits_as_a_0d_array(self, name, z):
         self.check_same_bits_quietly(name, z)
 
-    @pytest.mark.xfail(strict=True, raises=RuntimeWarning, reason=(
-        "psi(-inf) and log_psi(-inf) are nan with an invalid-value warning "
-        "on every path, from -inf * phi(-inf) = -inf * 0; both tend to "
-        "+inf"))
     def test_minus_inf(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert error_bounds.psi(-math.inf) == math.inf
             assert error_bounds.log_psi(-math.inf) == math.inf
+
+    @pytest.mark.parametrize("name", KERNELS)
+    def test_minus_inf_inside_an_array(self, name):
+        """-inf inside an n-d array is +inf as well, quietly, and leaves
+        the bits of the other elements alone."""
+        f = getattr(error_bounds, name)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = f(np.array([[-math.inf, -1.0], [30.0, -math.inf]]))
+            rest = f(np.array([-1.0, 30.0]))
+        assert got[0, 0] == got[1, 1] == math.inf
+        assert got[[0, 1], [1, 0]].tobytes() == rest.tobytes()
 
     def test_takes_no_error_state(self, monkeypatch):
         """Every float and int below 1e100 skips ``np.errstate``."""
@@ -391,6 +399,18 @@ class TestErrorBound:
         """At tau = 0 the spread is known, V = 0, and the bound is 0."""
         assert error_bounds.log_error_bound(0.0, 5e4, 50.0, sim_params) \
             == -math.inf
+
+    @pytest.mark.parametrize("tau", [1e-300, 24 * HOUR])
+    def test_log_bound_refuses_an_overflow(self, sim_params_eta200, tau):
+        """sim-jump-neg at spread -1e200 MW and y = 0: m / sqrt(V) is -inf
+        at tau = 1e-300 s and -1.6e195 a day before delivery.  The bound
+        overflows, and both bounds refuse it without a warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bound in (error_bounds.error_bound,
+                          error_bounds.log_error_bound):
+                with pytest.raises(ValueError, match="overflows float64"):
+                    bound(tau, -1e200, 0.0, sim_params_eta200)
 
     def test_asymptotic_constants_formulas(self, sim_params):
         tau, spread, y = 24 * HOUR, 50_000.0, 50.0

@@ -77,8 +77,8 @@ class TestValidation:
                                delta_minus=-1500.0, pi_plus=10.0,
                                pi_minus=-10.0)),
          "jump draws per path .* physical memory"),
-        # refused by its per-node term alone
-        (dict(dt=1e-300, record_every=None), "physical memory"),
+        # holds nothing per step, but its 8.64e304 steps overflow the keys
+        (dict(dt=1e-300, record_every=None), "int64"),
     ])
     def test_oversized_grid_rejected_before_allocating(self, sim_params,
                                                        kwargs, message):
@@ -537,9 +537,9 @@ class TestMemory:
     def test_grid_budget_grows_only_per_node(self, sim_params, jumps_negative,
                                              with_jumps, monkeypatch):
         """From dt = 60 s to dt = 1 s, the budget of a 4096-path run that
-        records only the terminal node grows by one 8-byte item per node
-        alone: a chunk's noise stays one window of 360 steps, and its kept
-        streams and jump events do not depend on dt."""
+        records only the terminal node does not grow: a chunk's noise stays
+        one window of 360 steps, its kept streams and jump events do not
+        depend on dt, and nothing is held per node."""
         needed = {}
         monkeypatch.setattr(model, "check_memory",
                             lambda size, what: needed.setdefault(what, size))
@@ -548,7 +548,7 @@ class TestMemory:
             simulate.check_grid(sim_params, jumps, 4096, dt, None)
         growth = (needed["4096 paths at dt = 1 s"]
                   - needed["4096 paths at dt = 60 s"])
-        assert growth == (86400 - 1440) * 8
+        assert growth == 0
 
     @pytest.mark.parametrize("dt, draws", [(60.0, 1440), (0.01, 3072)])
     def test_jump_draw_budget(self, sim_params, jumps_negative, monkeypatch,
@@ -611,7 +611,7 @@ class TestMemory:
         """From dt = 60 s to dt = 10 s, 400 jump paths recording only the
         terminal node: the noise stays one window and the events are
         bounded per window, so the traced peak grows by at most one 8-byte
-        item per extra node.  Measured -2.4 B a node; event bounds over the
+        item per extra node.  Measured -2.2 B a node; event bounds over the
         whole horizon read 24.4."""
         peaks = [self._traced_peak(sim_params, jumps_negative, 400, dt)
                  for dt in (60.0, 10.0)]
@@ -624,13 +624,12 @@ class TestMemory:
     def test_recorded_nodes_are_budgeted(self, sim_params, jumps_negative, n,
                                          with_jumps, monkeypatch):
         """Every node recorded at dt = 1 s: the run holds the recorded
-        arrays and, per recorded node, the node array and the times, and
-        with jumps the positions that put jump counts at recorded nodes
-        and one item per node.  Measured 0.22 and 0.64 of the budget
-        without jumps, 0.28 and 0.67 with sim-jump-neg's jumps.  Of the
-        budget less ``_CHUNK_BYTES`` they read 0.67, 0.93, 0.83 and 0.96,
-        and with 4 items per record the jump case would read 0.91 and
-        0.98.  About 20 s each: tracemalloc slows the 86 400 steps."""
+        arrays and, per recorded node, the node array and the times, with
+        or without jumps.  Measured 0.23 and 0.65 of the budget, the same
+        with sim-jump-neg's jumps.  Of the budget less ``_CHUNK_BYTES``
+        they read 0.73 and 0.95, and with 4 items per record they would
+        read 0.80 and 0.96.  About 20 s each: tracemalloc slows the 86 400
+        steps."""
         needed = {}
         monkeypatch.setattr(model, "check_memory",
                             lambda size, what: needed.setdefault(what, size))
@@ -669,6 +668,19 @@ class TestRecording:
                                       d0=5e4, y0=50.0, record_every=None)
         assert paths.times.shape == (1,)
         assert paths.times[0] == sim_params.horizon
+
+    def test_last_node_past_the_horizon(self, sim_params):
+        """dt = 86 400 / 147 s rounds so that the last node lies 1.5e-11 s
+        past T, where the rate rule runs at tau < 0; the run succeeds, and
+        its last rate is finite."""
+        dt = 587.7551020408164
+        assert 147 * dt > sim_params.horizon
+        policy = simulate.optimal_policy(sim_params, None)
+        paths = simulate.sample_paths(sim_params, None, policy, 3, dt, 2,
+                                      d0=5e4, y0=50.0)
+        assert paths.times.size == 148
+        assert paths.times[-1] > sim_params.horizon
+        assert np.isfinite(paths.q[:, -1]).all()
 
     def test_final_node_always_recorded(self, sim_params):
         policy = simulate.zero_policy(sim_params)
