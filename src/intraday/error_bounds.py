@@ -178,8 +178,7 @@ def _split(z, direct, tail):
         if z.ndim == 0:
             return math.inf if z == -math.inf else float(
                 direct(z) if z < _TAIL_Z else tail(z[()]))
-        low, high = z < _TAIL_Z, ~(z < _TAIL_Z)
-        low[z == -math.inf] = False
+        low, high = (-math.inf < z) & (z < _TAIL_Z), ~(z < _TAIL_Z)
         out = np.full_like(z, math.inf)
         out[low], out[high] = direct(z[low]), tail(z[high])
     return out
