@@ -16,14 +16,14 @@ partial fractions, the jump-model extensions (the jump bound as
 saddle-point contour integrals), and the limiting exponential rate
 constants.
 
-Phi(-z) is ``scipy.special.ndtr(-z)`` and phi(z) is
-``exp(-z * z / 2) / sqrt(2 pi)``: the bodies of ``scipy.stats.norm.sf``
-and ``.pdf`` without their per-call dispatch, so every value keeps the
-bits those would give.  psi, psi_tilde and log_psi take a number or an
-array, with one set of formulas.  A Python float or int below 1e100 (a
-numpy float64 is a Python float) takes a float path without numpy's array
-conversion and error state, at about a fifth of the cost, and gives the
-bits of a 0-d array.
+Phi(-z) is ``erfc(z / sqrt 2) / 2`` and phi(z) is
+``exp(-z * z / 2) / sqrt(2 pi)``, on the standard library's ``math``.
+psi, psi_tilde and log_psi are one scalar kernel each: a number goes
+straight through it, and an array element by element, so that a Python
+float, an int, a numpy float64 and the elements of an array all give the
+same bits.  Each kernel takes the direct formula below ``_TAIL_Z`` and its
+asymptotic series from there on, and returns the limits at z = +-inf and
+at an int beyond the float range.
 """
 
 from __future__ import annotations
@@ -34,31 +34,34 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.stats  # noqa: F401  kept: bench/run.py reports its import time
-from scipy.special import ndtr
 
 from .model import (JumpParams, ModelParams, check_seed,
                     reduced_cost_coefficient)
 
 logger = logging.getLogger(__name__)
 
-#: Switch point between direct evaluation of psi and its tail expansion.
-#: Direct evaluation loses relative accuracy to cancellation as z grows:
-#: against 50-digit mpmath its relative error is 7e-11 on [0, 10], 4.5e-9
-#: on [10, 20] and 2.6e-8 on [20, 26].  Past 26 the 6-term asymptotic
-#: series is better (1e-11).
-_TAIL_Z = 26.0
+#: Switch point between the direct formulas of psi and psi_tilde and their
+#: 16-term asymptotic series.  Direct evaluation loses relative accuracy to
+#: cancellation as z grows, the series gains it.  Against 50-digit mpmath
+#: the relative error of psi is 1.4e-13 on [0, 3], 4.8e-11 on [3, 10] (the
+#: direct formula below 9), 8.4e-13 on [10, 20] and 6e-14 from there to
+#: 37; that of psi_tilde at most 1.3e-12 (tests/test_error_bounds.py,
+#: TestAccuracy).
+_TAIL_Z = 9.0
+_TAIL_TERMS = 16
 
-#: Below this z a Python float takes the float path of ``_split``: the
-#: tail's z**3 stays finite (at most 1e300).
-_FLOAT_PATH_Z = 1e100
+#: Coefficients of the asymptotic series in u = 1/z^2 (DLMF 7.12.1),
+#: highest power first for Horner's scheme:
+#: psi_tilde(z) / phi(z) ~ z^-2 sum_k (-1)^k (2k+1)!! u^k and
+#: psi(z) / phi(z) ~ 2 z^-3 sum_k (-1)^k (2k+1)!! (k+1) u^k.
+_PSI_TILDE_TAIL = tuple(float((-1)**k * math.prod(range(1, 2 * k + 2, 2)))
+                        for k in reversed(range(_TAIL_TERMS)))
+_PSI_TAIL = tuple(c * (k + 1) for k, c in
+                  zip(reversed(range(_TAIL_TERMS)), _PSI_TILDE_TAIL))
 
-# psi(z) / phi(z) ~ (2/z^3) (1 - 6/z^2 + 45/z^4 - 420/z^6 + 4725/z^8 - ...)
-_PSI_TAIL = (1.0, -6.0, 45.0, -420.0, 4725.0, -62370.0)
-# psi_tilde(z) / phi(z) ~ (1/z^2) (1 - 3/z^2 + 15/z^4 - 105/z^6 + ...)
-_PSI_TILDE_TAIL = (1.0, -3.0, 15.0, -105.0, 945.0, -10395.0)
-
+_SQRT_2 = math.sqrt(2.0)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-_SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 #: The 20-node Gauss–Legendre rule on [-1, 1] of :func:`log_time_nodes`,
 #: read-only: every call returns the same weights.  The values of
@@ -130,92 +133,85 @@ class ErrorBoundReport:
                              f"terminal spread {self.moments.mean:g} MW")
 
 
-def _tail_series(z, coefficients):
-    """sum_k c_k z^(-2k) by Horner's scheme from the last coefficient, on
-    a number or an array.  ``z * z`` rounds like an array's ``z**2``, so
-    the float path's numpy float64 gets the bits of a 0-d array."""
+def _tail_series(z: float, coefficients: tuple) -> float:
+    """sum_k c_k z^(-2k) by Horner's scheme, highest power first."""
     u = 1.0 / (z * z)
-    total = coefficients[-1]
-    for c in reversed(coefficients[:-1]):
+    total = 0.0
+    for c in coefficients:
         total = total * u + c
     return total
 
 
-def _norm_sf(z):
+def _norm_sf(z: float) -> float:
     """Phi(-z), the standard normal upper tail."""
-    return ndtr(-z)
+    return 0.5 * math.erfc(z / _SQRT_2)
 
 
-def _norm_pdf(z):
-    """phi(z), the standard normal density, on a number or an array: a
-    Python float on the float path of ``_split``, a numpy float64 in its
-    tail.  Squared as ``z * z``, which on an array rounds like numpy's
-    ``z**2``, so both get the bits of a 0-d array: a Python or numpy
-    scalar's ``**2`` goes through ``pow`` and misses the array square by an
-    ulp for about 1 value in 1000."""
-    return np.exp(-z * z / 2.0) / _SQRT_2PI
+def _norm_pdf(z: float) -> float:
+    """phi(z), the standard normal density."""
+    return math.exp(-z * z / 2.0) / _SQRT_2PI
 
 
-def _split(z, direct, tail):
-    """``direct`` below ``_TAIL_Z`` and ``tail`` from it on, each evaluated
-    only on its own side; the tail's z**3 overflows to inf quietly.
-
-    A Python float or int below ``_FLOAT_PATH_Z`` (a numpy float64 is a
-    Python float) takes the float path: ``direct`` runs on the Python
-    float and ``tail`` on a numpy float64, so that the tail's ``z**3``
-    keeps numpy's scalar ``pow``.  Nothing there can overflow, so it needs
-    no ``np.errstate``, and its bits equal those of a 0-d array.  Anything
-    else (nan, -inf, z >= ``_FLOAT_PATH_Z``, arrays) is converted to an
-    array; a 0-d array keeps numpy's scalar arithmetic, an ulp off the
-    array loops in the tail.  Phi(-z) is ``ndtr(-z)`` on either path.  At
-    z = -inf, where ``direct`` would take -inf * phi(-inf) = -inf * 0,
-    every kernel returns its limit +inf."""
-    if isinstance(z, (float, int)) and -math.inf < z < _FLOAT_PATH_Z:
-        z = float(z)
-        return float(direct(z) if z < _TAIL_Z else tail(np.float64(z)))
-    z = np.asarray(z, dtype=float)
-    with np.errstate(over="ignore", divide="ignore"):  # divide: log(0)
-        if z.ndim == 0:
-            return math.inf if z == -math.inf else float(
-                direct(z) if z < _TAIL_Z else tail(z[()]))
-        low, high = (-math.inf < z) & (z < _TAIL_Z), ~(z < _TAIL_Z)
-        out = np.full_like(z, math.inf)
-        out[low], out[high] = direct(z[low]), tail(z[high])
-    return out
-
-
-def _psi_direct(z):
-    """psi as defined, for z below the tail switch."""
+def _psi(z: float) -> float:
+    if z >= _TAIL_Z:
+        return _norm_pdf(z) * 2.0 / (z * z * z) * _tail_series(z, _PSI_TAIL)
+    if z <= -_TAIL_Z:
+        # psi(z) = z^2 + 1 - psi(-z), and psi(-z) is below an ulp of it;
+        # at z = -inf the direct formula would take -inf * 0
+        return z * z + 1.0
     return (z * z + 1.0) * _norm_sf(z) - z * _norm_pdf(z)
 
 
-def _log_clipped(x):
-    """log(max(x, 0)); on a number, -inf at x <= 0 without taking log(0)."""
-    if isinstance(x, np.ndarray):
-        return np.log(np.maximum(x, 0.0))
-    return -math.inf if x <= 0.0 else np.log(x)
+def _log_psi(z: float) -> float:
+    if z >= _TAIL_Z:  # log z^3 as 3 log z: z^3 overflows from 5.6e102
+        return (-z * z / 2.0 - _LOG_SQRT_2PI - 3.0 * math.log(z)
+                + math.log(2.0 * _tail_series(z, _PSI_TAIL)))
+    if z <= -_TAIL_Z:
+        # log(z^2 + 1), also where z^2 overflows
+        return 2.0 * math.log(-z) + math.log1p(1.0 / (z * z))
+    return math.log(_psi(z))
+
+
+def _psi_tilde(z: float) -> float:
+    if z >= _TAIL_Z:
+        return _norm_pdf(z) / (z * z) * _tail_series(z, _PSI_TILDE_TAIL)
+    return _norm_pdf(z) - z * _norm_sf(z)
+
+
+def _as_float(z) -> float:
+    """A number as a Python float; an int beyond the float range as its
+    limit, +-inf."""
+    try:
+        return float(z)
+    except OverflowError:
+        return math.inf if z > 0 else -math.inf
+
+
+def _elementwise(kernel, z):
+    """``kernel`` of a number other than a Python float, or of each element
+    of an array; of a 0-d array, a float.  A plain loop: a numpy ufunc
+    such as ``np.frompyfunc`` would report the kernels' quiet overflows
+    to +-inf as warnings."""
+    z = np.asarray(z)
+    out = np.array([kernel(_as_float(v)) for v in z.flat], dtype=float)
+    return out.reshape(z.shape) if z.ndim else out.item()
 
 
 def psi(z):
-    """psi(z) = (z^2 + 1) Phi(-z) - z phi(z); nonnegative and decreasing."""
-    return _split(
-        z, _psi_direct,
-        lambda z: _norm_pdf(z) * 2.0 / z**3 * _tail_series(z, _PSI_TAIL))
+    """psi(z) = (z^2 + 1) Phi(-z) - z phi(z); nonnegative and decreasing.
+    Of a number, or of each element of an array."""
+    return _psi(z) if type(z) is float else _elementwise(_psi, z)
 
 
 def log_psi(z):
     """Natural log of psi(z), valid far beyond the underflow point of psi."""
-    return _split(
-        z, lambda z: _log_clipped(_psi_direct(z)),
-        lambda z: (-0.5 * z**2 - _LOG_SQRT_2PI
-                   + np.log(2.0 / z**3 * _tail_series(z, _PSI_TAIL))))
+    return _log_psi(z) if type(z) is float else _elementwise(_log_psi, z)
 
 
 def psi_tilde(z):
     """psi_tilde(z) = phi(z) - z Phi(-z); nonnegative for all z."""
-    return _split(
-        z, lambda z: _norm_pdf(z) - z * _norm_sf(z),
-        lambda z: _norm_pdf(z) / z**2 * _tail_series(z, _PSI_TILDE_TAIL))
+    return (_psi_tilde(z) if type(z) is float
+            else _elementwise(_psi_tilde, z))
 
 
 def mean_spread(tau, spread, y, params: ModelParams):

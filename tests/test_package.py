@@ -41,6 +41,23 @@ class TestImportSurface:
         of ``import intraday.cli``."""
         assert imported_after("import intraday.cli") == (True, True)
 
+    def test_only_scipy_import_is_the_timed_one(self):
+        """The one scipy import under ``src/intraday`` is ``import
+        scipy.stats`` in error_bounds.py, kept so that bench/run.py can time
+        it: psi and the normal functions run on ``math``."""
+        found = []
+        for path in sorted((SRC / "intraday").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    modules = [node.module]
+                else:
+                    continue
+                found += [(path.name, module) for module in modules
+                          if module.split(".")[0] == "scipy"]
+        assert found == [("error_bounds.py", "scipy.stats")]
+
 
 def test_readme_library_example_runs():
     """The README's python block runs as written, and each expression
