@@ -30,9 +30,10 @@ carry on from window to window, which draws the bits of one call over
 the whole horizon.  The jump events are flat arrays sorted by grid node,
 one event per (node, path) with jumps, so a step touches only the paths
 that jump at its node.  Paths draw their jumps in blocks whose expected
-draws add up to at most one per grid step, a block's first draws take
-one array call each, and its draws are merged into events as soon as
-they are drawn.  At each window's first step, one ``searchsorted``
+draws add up to at most one per grid step, a block's first 8 draws a
+path take one array call each, and its draws, each path's in draw order
+and each with its path's column, are merged into events as soon as they
+are drawn.  At each window's first step, one ``searchsorted``
 finds where the events of the window's nodes start.  The recorded
 ``PathSet`` arrays stay path-major, shape (n_paths, n_recorded).
 """
@@ -103,7 +104,7 @@ class PathSet:
     """Simulated trajectories on (a thinning of) the time grid.
 
     ``x, y, d, p_hat, q`` have shape (n_paths, n_recorded); ``jump_flag``
-    counts signed jumps applied at each recorded node; ``xi`` and
+    sums signed jumps applied at each recorded node; ``xi`` and
     ``running_cost`` (the left-Riemann trading cost integral, accumulated
     at full resolution) have shape (n_paths,).
     """
@@ -212,14 +213,16 @@ def _stream(seed: int, path_id: int, stream_id: int) -> np.random.Generator:
 
 def _draw_jumps(seed: int, first: int, jumps: JumpParams, horizon: float,
                 width: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact exponential jump times on [0, horizon) and +1/-1 signs of the
-    paths ``first, ..., first + width - 1``, flat in path order, and each
-    path's jump count.
+    """Exact exponential jump times on [0, horizon), their +1/-1 signs and
+    their columns (path id less ``first``), of the paths ``first, ...,
+    first + width - 1``.
 
     Each path's first 8 gaps and sign uniforms are drawn into one row of a
     block; the running sums and the in-horizon mask take one call for the
-    block.  A path whose 8th jump is inside the horizon draws on, the
-    running sum of its gaps in doubling batches.
+    block, whose in-horizon draws come first, in path order.  A path whose
+    8th jump is inside the horizon draws on, the running sum of its gaps in
+    doubling batches, and its later draws follow.  Each path's draws are
+    thus in draw order, though not contiguous.
     """
     scale = 1.0 / jumps.lam
     streams = [(_stream(seed, pid, _STREAM_JUMP_TIMES),
@@ -232,8 +235,7 @@ def _draw_jumps(seed: int, first: int, jumps: JumpParams, horizon: float,
     gaps *= scale  # the bits of exponential(scale)
     times = np.cumsum(gaps, axis=1, out=gaps)  # in order along each row
     inside = times < horizon
-    counts = inside.sum(axis=1)
-    parts_t, parts_u, done = [], [], 0  # rows before ``done`` are in parts
+    parts = [(times[inside], uniforms[inside], np.nonzero(inside)[0])]
     for i in np.flatnonzero(inside[:, -1]).tolist():
         gen_t, gen_s = streams[i]
         path = times[i]
@@ -241,17 +243,11 @@ def _draw_jumps(seed: int, first: int, jumps: JumpParams, horizon: float,
             more = gen_t.exponential(scale, size=path.size)
             more[0] += path[-1]  # cumsum adds in order: the running sum's bits
             path = np.concatenate((path, np.cumsum(more, out=more)))
-        path = path[:np.searchsorted(path, horizon)]
-        counts[i] = path.size
-        parts_t += [times[done:i][inside[done:i]], path]
-        parts_u += [uniforms[done:i][inside[done:i]], uniforms[i],
-                    gen_s.random(size=path.size - 8)]
-        done = i + 1
-    # copies: the batch of paths holds no draws past the horizon
-    parts_t.append(times[done:][inside[done:]])
-    parts_u.append(uniforms[done:][inside[done:]])
-    signs = np.where(np.concatenate(parts_u) < jumps.p_plus, 1, -1)
-    return np.concatenate(parts_t), signs, counts
+        later = path[8:np.searchsorted(path, horizon)]
+        parts.append((later, gen_s.random(size=later.size),
+                      np.full(later.size, i)))
+    times, uniforms, column = map(np.concatenate, zip(*parts))
+    return times, np.where(uniforms < jumps.p_plus, 1, -1), column
 
 
 def _jump_events(paths: PathSet, rows: slice, recorded: np.ndarray,
@@ -261,7 +257,7 @@ def _jump_events(paths: PathSet, rows: slice, recorded: np.ndarray,
 
     Returns ``(key, jump_d, jump_y)`` with ``key = node * n + column``: one
     event per (node, path) that has jumps, its demand and price jumps
-    summed in draw order.  The signed jump counts at recorded nodes go
+    summed in draw order.  The signs of the jumps at recorded nodes go
     straight into ``paths.jump_flag``, at columns found by ``searchsorted``
     in ``recorded``.  Each path draws from its own streams.  Paths draw in
     blocks whose expected draws add up to at most one per grid step (the
@@ -276,9 +272,9 @@ def _jump_events(paths: PathSet, rows: slice, recorded: np.ndarray,
     flags = paths.jump_flag[rows]
     keys, d_parts, y_parts = [], [], []
     for lo in range(0, n, width):
-        times, signs, counts = _draw_jumps(paths.seed, rows.start + lo, jumps,
+        times, signs, column = _draw_jumps(paths.seed, rows.start + lo, jumps,
                                            horizon, min(width, n - lo))
-        column = np.repeat(np.arange(lo, lo + counts.size), counts)
+        column += lo
         # first grid node at or after the exact jump time
         nodes = np.minimum(np.ceil(times / dt - 1e-12).astype(np.int64),
                            n_steps)
@@ -331,7 +327,10 @@ def _simulate_chunk(paths: PathSet, rows: slice, recorded: np.ndarray,
         return (_stream(seed, pid, _STREAM_W),
                 _stream(seed, pid, _STREAM_W_PERP))
 
-    # with one window, each path's streams are made when drawn and dropped
+    # with one window, each path's streams are made when drawn and dropped:
+    # kept for every path, two streams a path would stay alive beside the
+    # sorted events (1e4 jumps a day over 2 h: 7.19 units, not 5.47, in
+    # TestMemory.test_saturated_jump_events)
     kept = [normal_streams(c) for c in range(n)] if n_steps > window else None
 
     def draw(steps):

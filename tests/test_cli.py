@@ -203,6 +203,15 @@ class TestVerify:
         assert err.startswith("error: dt must be below horizon / 120 = 720 s")
         assert out_text == "" and not out.exists()
 
+    @pytest.mark.parametrize("dt", ["60", "15"])
+    def test_jump_config_passes(self, dt, tmp_path):
+        """sim-jump-neg at the default step and at 15 s, with every warning
+        an error; CI's "verify time" step times the same two runs."""
+        assert run(["verify", "--config", "sim-jump-neg", "--dt", dt,
+                    "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["passed"] is True
+
     def test_coarsest_dt_passes(self, tmp_path):
         """dt = 600 s: 144 steps, 3 recorded nodes before the horizon."""
         assert run(["verify", "--dt", "600", "--paths", "400",
@@ -255,6 +264,15 @@ class TestErrorBound:
         out = capsys.readouterr().out
         assert "model: jump" in out
         assert "mc stderr" not in out
+
+    @pytest.mark.parametrize("state", [
+        [], ["--d0", "20000", "--y0", "150"], ["--y0", "1e300"]],
+        ids=["default", "tail", "underflow"])
+    def test_jump_states_write_no_stderr(self, state, capsys):
+        """The three states of CI's "jump error bound" step, with every
+        warning an error."""
+        assert run(["errorbound", "--config", "sim-jump-neg", *state]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("command", ["errorbound", "simulate", "verify"])
     def test_zero_jump_intensity_is_refused(self, command, tmp_path,

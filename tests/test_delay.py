@@ -126,9 +126,9 @@ class TestDelayedBound:
         rep = delay.error_bound_delay(state0, sim_params_eta200, 0.0)
         plain = error_bounds.error_bound(24 * HOUR, state0.spread, state0.y,
                                          sim_params_eta200)
-        assert rep.bound == pytest.approx(plain.bound, rel=1e-12)
+        assert rep.bound == pytest.approx(plain.bound, rel=1e-12, abs=0)
         assert rep.shortfall_probability == pytest.approx(
-            plain.shortfall_probability, rel=1e-12)
+            plain.shortfall_probability, rel=1e-12, abs=0)
 
     def test_decreasing_to_zero(self, sim_params_eta200):
         p = sim_params_eta200

@@ -449,8 +449,9 @@ class TestErrorBound:
         z = m / math.sqrt(v)
         expected = (sim_params.eta * r / (2.0 * sim_params.beta)
                     * v * error_bounds.psi(z))
-        assert rep.bound == pytest.approx(expected, rel=1e-12)
-        assert rep.shortfall_probability == pytest.approx(norm.sf(z), rel=1e-12)
+        assert rep.bound == pytest.approx(expected, rel=1e-12, abs=0)
+        assert rep.shortfall_probability == pytest.approx(norm.sf(z), rel=1e-12,
+                                                          abs=0)
         assert rep.moments.mean == pytest.approx(m)
         assert rep.moments.variance == pytest.approx(v)
 
@@ -519,8 +520,9 @@ class TestErrorBound:
         den = (r + sim_params.nu) * tau + 2.0 * sim_params.gamma
         v = error_bounds.variance_spread(tau, sim_params)
         m_inf = (sim_params.nu * tau + 2.0 * sim_params.gamma) / den
-        assert c2 == pytest.approx(-0.5 * m_inf**2 / v, rel=1e-12)
-        assert c3 == pytest.approx(-0.5 * (tau / den) ** 2 / v, rel=1e-12)
+        assert c2 == pytest.approx(-0.5 * m_inf**2 / v, rel=1e-12, abs=0)
+        assert c3 == pytest.approx(-0.5 * (tau / den) ** 2 / v, rel=1e-12,
+                                   abs=0)
 
     @pytest.mark.parametrize("tau", [0.0, -1.0, math.nan])
     def test_asymptotic_constants_need_positive_tau(self, sim_params, tau):
@@ -588,7 +590,7 @@ class TestJumpBound:
         r = reduced_cost_coefficient(sim_params_eta200)
         expected = (sim_params_eta200.eta * r / (2.0 * sim_params_eta200.beta)
                     * v * error_bounds.psi(m_l / math.sqrt(v)))
-        assert rep.bound == pytest.approx(expected, rel=1e-12)
+        assert rep.bound == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_negative_jumps_deterministic_and_larger(self, sim_params_eta200,
                                                      jumps_negative):

@@ -442,13 +442,46 @@ class TestJumpDraws:
         """All paths in one block; at 8 a day about half of them draw on
         past their first 8 gaps."""
         jumps = replace(jumps_negative, lam=per_day / DAY)
-        times, signs, counts = simulate._draw_jumps(cli.DEFAULT_SEED, 0, jumps,
+        times, signs, column = simulate._draw_jumps(cli.DEFAULT_SEED, 0, jumps,
                                                     DAY, n_paths)
-        cuts = np.cumsum(counts)[:-1]
-        for pid, ours in enumerate(zip(np.split(times, cuts),
-                                       np.split(signs, cuts))):
+        for pid in range(n_paths):
+            mine = column == pid
             self._assert_same(
-                ours, _running_sum_jumps(cli.DEFAULT_SEED, pid, jumps, DAY))
+                (times[mine], signs[mine]),
+                _running_sum_jumps(cli.DEFAULT_SEED, pid, jumps, DAY))
+
+    def test_event_sums_in_draw_order(self, sim_params, jumps_negative):
+        """1e4 jumps a day over 2 h at dt = 60 s, 6 paths in one block:
+        each (node, path) sum of ``_jump_events`` is a Python sum from 0.0
+        of that path's draws in draw order, and some node holds both a
+        path's first 8 draws and its later ones.  The jump sizes are not
+        integers, so that the sums' bits depend on the order."""
+        params = replace(sim_params, horizon=2 * HOUR)
+        jumps = replace(jumps_negative, lam=1e4 / DAY, delta_plus=1500.1,
+                        delta_minus=-1499.3, pi_plus=10.1, pi_minus=-9.7)
+        n, dt = 6, 60.0
+        paths = simulate.sample_paths(params, None,
+                                      simulate.zero_policy(params), n, dt,
+                                      cli.DEFAULT_SEED, record_every=1)
+        key, jump_d, jump_y = simulate._jump_events(
+            paths, slice(0, n), np.arange(paths.times.size), jumps,
+            params.horizon)
+        expected, shared = {}, False
+        for pid in range(n):
+            times, signs = _running_sum_jumps(cli.DEFAULT_SEED, pid, jumps,
+                                              params.horizon)
+            nodes = np.ceil(times / dt - 1e-12).astype(np.int64).tolist()
+            shared |= nodes[7] == nodes[8]
+            for node, sign in zip(nodes, signs.tolist()):
+                d, y = expected.get(node * n + pid, (0.0, 0.0))
+                up = sign > 0
+                expected[node * n + pid] = (
+                    d + (jumps.delta_plus if up else jumps.delta_minus),
+                    y + (jumps.pi_plus if up else jumps.pi_minus))
+        assert shared
+        assert key.tolist() == sorted(expected)
+        assert jump_d.tolist() == [expected[k][0] for k in key.tolist()]
+        assert jump_y.tolist() == [expected[k][1] for k in key.tolist()]
 
     def test_jump_at_the_horizon_is_dropped(self, jumps_negative):
         """A jump time equal to the horizon is outside [0, horizon)."""
@@ -701,6 +734,19 @@ class TestEstimates:
         assert est.mean == pytest.approx(float(total.mean()), rel=1e-14)
         assert est.stderr == pytest.approx(
             float(total.std(ddof=1)) / math.sqrt(50), rel=1e-12)
+
+    def test_fine_grid_cost_is_finite(self):
+        """512 sim-jump-neg paths at dt = 1 s recording only the terminal
+        node, the run of CI's "fine grid" step: 86 400 steps end in a
+        finite cost."""
+        params, jumps, _ = load_param_file(
+            cli.resolve_config("sim-jump-neg", None))
+        policy = simulate.optimal_policy(params, jumps, constrained=False)
+        paths = simulate.sample_paths(params, jumps, policy, 512, 1.0,
+                                      cli.DEFAULT_SEED, d0=cli.DEFAULT_D0,
+                                      y0=cli.DEFAULT_Y0, record_every=None)
+        assert paths.times.size == 1
+        assert math.isfinite(simulate.estimate_cost(paths, params).mean)
 
     def test_non_finite_cost_is_refused(self, sim_params):
         policy = simulate.optimal_policy(sim_params, None, constrained=False)
