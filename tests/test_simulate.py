@@ -234,6 +234,19 @@ class TestDeterminism:
         assert np.array_equal(small.running_cost, large.running_cost[:12])
 
 
+def assert_same_state(ours, ref):
+    """Two bit generators have the same key, counter, buffer, buffer
+    position and kept 32-bit word."""
+    a, b = ours.state, ref.state
+    assert a["bit_generator"] == b["bit_generator"] == "Philox"
+    for name in ("key", "counter"):
+        assert np.array_equal(a["state"][name], b["state"][name])
+        assert a["state"][name].dtype == b["state"][name].dtype
+    assert np.array_equal(a["buffer"], b["buffer"])
+    for name in ("buffer_pos", "has_uint32", "uinteger"):
+        assert a[name] == b[name]
+
+
 class TestStreamContract:
     """Each path draws from Philox keyed by [seed, (path_id << 3) +
     stream_id].  Re-keying changes every simulated path, so it must
@@ -246,11 +259,48 @@ class TestStreamContract:
         key = np.array([seed, (path_id << 3) + stream_id], dtype=np.uint64)
         ours = simulate._stream(seed, path_id, stream_id)
         ref = np.random.Generator(np.random.Philox(key=key))
+        assert_same_state(ours.bit_generator, ref.bit_generator)
         assert np.array_equal(ours.standard_normal(300),
                               ref.standard_normal(300))
         assert np.array_equal(ours.exponential(3.0, 40),
                               ref.exponential(3.0, 40))
         assert np.array_equal(ours.random(40), ref.random(40))
+        ours.integers(2**32, size=3, dtype=np.uint32)  # a uint32 is kept
+        ref.integers(2**32, size=3, dtype=np.uint32)
+        assert_same_state(ours.bit_generator, ref.bit_generator)
+
+    def test_shared_counter_stays_zero(self):
+        """Every stream starts from the one read-only counter array, which
+        drawing leaves at zero."""
+        counter = simulate._ZERO_COUNTER
+        assert counter.dtype == np.uint64 and counter.shape == (4,)
+        assert not counter.flags.writeable
+        first, second = simulate._stream(3, 0, 0), simulate._stream(3, 1, 0)
+        first.standard_normal(1000)
+        second.random(7)
+        assert counter.tolist() == [0, 0, 0, 0]
+        assert first.bit_generator.state["state"]["counter"].any()
+        with pytest.raises(ValueError):
+            counter[0] = 1
+
+    @pytest.mark.parametrize("with_jumps, per_path", [(False, 2), (True, 4)])
+    def test_logged_streams_are_those_made(self, sim_params, jumps_negative,
+                                           caplog, monkeypatch, with_jumps,
+                                           per_path):
+        made, philox = [], np.random.Philox
+
+        def counted(*args, **kwargs):
+            made.append(args)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counted)
+        caplog.set_level(logging.DEBUG, logger="intraday.simulate")
+        jumps = jumps_negative if with_jumps else None
+        simulate.sample_paths(sim_params, jumps,
+                              simulate.zero_policy(sim_params), 5, 60.0, 2)
+        [record] = caplog.records
+        assert record.getMessage().endswith(f", {len(made)} RNG streams")
+        assert len(made) == 5 * per_path
 
     def test_golden_jump_run(self):
         params, jumps, _ = load_param_file(
@@ -339,10 +389,10 @@ class TestNoiseWindow:
         assert records == [
             ("intraday.simulate", logging.DEBUG,
              "3 paths, 48 steps, 1 chunks, window of 48 steps, "
-             "2304 noise bytes per chunk"),
+             "2304 noise bytes per chunk, 6 RNG streams"),
             ("intraday.simulate", logging.DEBUG,
              "2050 paths, 1440 steps, 2 chunks, window of 360 steps, "
-             "11796480 noise bytes per chunk")]
+             "11796480 noise bytes per chunk, 4100 RNG streams")]
 
 
 class TestGoldenPaths:
