@@ -14,9 +14,9 @@ ODE integration of the same Riccati systems lives in
 :mod:`intraday.oracle` and is used only for cross-verification, never in
 the production path.
 
-All common denominators ``(r + nu) tau + 2 gamma`` are factored before
-combining terms so that the near-degenerate regime ``nu = gamma = 1e-10``
-stays accurate in double precision.
+All denominators ``(r + nu) tau + 2 gamma`` come from ``model.closed_loop``
+(which refuses tau < 0 or nan) and are factored before combining terms, so
+that the near-degenerate ``nu = gamma = 1e-10`` stays accurate in float64.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import JumpParams, MarketState, ModelParams, reduced_cost_coefficient
+from .model import JumpParams, MarketState, ModelParams, closed_loop
 
 
 @dataclass(frozen=True)
@@ -69,11 +69,8 @@ def _coefficients(tau, params: ModelParams, mu: float, var_p: float,
                   var_d: float, cov: float) -> CoefficientSet:
     """Coefficients A..K at demand drift ``mu`` and noise variance rates
     ``var_p`` (price), ``var_d`` (demand) and covariance rate ``cov``."""
-    if not (tau >= 0 if isinstance(tau, float) else np.all(tau >= 0)):
-        raise ValueError("time-to-go must be nonnegative")  # or nan
-    r = reduced_cost_coefficient(params)
+    r, den = closed_loop(tau, params)
     nu, gamma = params.nu, params.gamma
-    den = (r + nu) * tau + 2.0 * gamma
     a = r * (0.5 * nu * tau + gamma) / den
     b = -0.5 * tau / den
     f = r * tau / den
@@ -123,9 +120,8 @@ def feedback_rate(tau, spread, y, params: ModelParams):
     ``q = (r (mu tau + spread) - y) / ((r + nu) tau + 2 gamma)``; accepts
     scalars or arrays in (spread, y).
     """
-    r = reduced_cost_coefficient(params)
-    return (r * (params.mu * tau + spread) - y) / ((r + params.nu) * tau
-                                                   + 2.0 * params.gamma)
+    r, den = closed_loop(tau, params)
+    return (r * (params.mu * tau + spread) - y) / den
 
 
 def feedback_rate_pure_trader(tau, spread, y, params: ModelParams):
@@ -175,9 +171,8 @@ def jump_riccati_coefficients(tau: float | np.ndarray, params: ModelParams,
     base = _coefficients(tau, params, mu, s0**2 + lam * m_pp,
                          sd**2 + lam * m_dd,
                          params.rho * s0 * sd + lam * m_dp)
-    r = reduced_cost_coefficient(params)
+    r, den = closed_loop(tau, params)
     p, gamma = lam * jumps.pi, params.gamma
-    den = (r + params.nu) * tau + 2.0 * gamma
     tau2 = tau * tau  # float ** and numpy ** may round apart
     return replace(base, g=base.g + p * r * tau2 / (2.0 * den),
                    h=base.h - p * tau2 / (2.0 * den),
@@ -204,13 +199,11 @@ def feedback_rate_jump(tau, spread, y, params: ModelParams,
     """
     if jumps is None:
         return feedback_rate(tau, spread, y, params)
-    r = reduced_cost_coefficient(params)
-    nu, gamma = params.nu, params.gamma
+    r, den = closed_loop(tau, params)
     lam, delta, pi = jumps.lam, jumps.delta, jumps.pi
-    den = (r + nu) * tau + 2.0 * gamma
     return (feedback_rate(tau, spread, y, params)
             + lam * tau * (r * delta - 0.5 * pi) / den
-            + lam * pi * tau / (4.0 * gamma))
+            + lam * pi * tau / (4.0 * params.gamma))
 
 
 #: Classification labels for the mean inventory trajectory (jump model).
@@ -232,14 +225,11 @@ def expected_rate_turning_time(state: MarketState, params: ModelParams,
     if jumps is None or jumps.pi == 0.0:
         raise ValueError("turning time requires lam * pi != 0")
     tau = params.horizon - state.t
-    if not tau >= 0:  # also refuses nan
-        raise ValueError("time-to-go must be nonnegative")
     q0 = feedback_rate_jump(tau, state.spread, state.y, params, jumps)
     s_bar = 2.0 * params.gamma / (jumps.lam * jumps.pi) * q0
-    horizon = tau
     if s_bar <= 0.0:
         label = DECREASING if jumps.pi > 0 else INCREASING
-    elif s_bar >= horizon:
+    elif s_bar >= tau:
         label = INCREASING if jumps.pi > 0 else DECREASING
     else:
         label = CONCAVE if jumps.pi > 0 else CONVEX

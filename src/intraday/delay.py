@@ -16,7 +16,7 @@ import math
 from dataclasses import replace
 
 from . import closed_form, error_bounds, simulate
-from .model import (ModelParams, optimal_production_constrained,
+from .model import (ModelParams, closed_loop, optimal_production_constrained,
                     optimal_production_unconstrained, reduced_cost_coefficient)
 
 
@@ -95,11 +95,9 @@ def error_bound_delay(state, params: ModelParams,
     _check_delay(h, params)
     tau = params.horizon - state.t
     v_h = _variance_after(tau, h, params)
-    r = reduced_cost_coefficient(params)
-    nu, gamma = params.nu, params.gamma
-    prefactor = (error_bounds._bound_prefactor(params)
-                 * ((r + nu) * h + 2.0 * gamma)
-                 / ((params.eta + nu) * h + 2.0 * gamma))
+    _, den_h = closed_loop(h, params)
+    prefactor = (error_bounds._bound_prefactor(params) * den_h
+                 / ((params.eta + params.nu) * h + 2.0 * params.gamma))
     m = float(error_bounds.mean_spread(tau, state.spread, state.y, params))
     return error_bounds._report(m, v_h, prefactor)
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.stats  # noqa: F401  kept: bench/run.py reports its import time
 
-from .model import (JumpParams, ModelParams, check_seed,
+from .model import (JumpParams, ModelParams, check_seed, closed_loop,
                     reduced_cost_coefficient)
 
 logger = logging.getLogger(__name__)
@@ -220,10 +220,9 @@ def mean_spread(tau, spread, y, params: ModelParams):
     ``m = ((nu tau + 2 gamma)(mu tau + spread) + y tau) / ((r + nu) tau + 2 gamma)``,
     equivalently ``spread + mu tau - tau q(tau, spread, y)``.
     """
-    r = reduced_cost_coefficient(params)
-    nu, gamma = params.nu, params.gamma
-    return ((nu * tau + 2.0 * gamma) * (params.mu * tau + spread) + y * tau) / (
-        (r + nu) * tau + 2.0 * gamma)
+    _, den = closed_loop(tau, params)
+    nu, gamma, mu = params.nu, params.gamma, params.mu
+    return ((nu * tau + 2.0 * gamma) * (mu * tau + spread) + y * tau) / den
 
 
 def variance_spread(tau, params: ModelParams) -> float:
@@ -232,11 +231,10 @@ def variance_spread(tau, params: ModelParams) -> float:
     The integrand is a quadratic polynomial in s over the square of the
     linear factor ``(r + nu) s + 2 gamma``; partial fractions give a
     linear term, a logarithm, and an inverse term from the double root at
-    ``s = -2 gamma / (r + nu)``.
+    ``s = -2 gamma / (r + nu)``.  Its value ``u`` at s = tau, and the
+    refusal of tau < 0 or nan, come from :func:`intraday.model.closed_loop`.
     """
-    if not tau >= 0:  # also refuses nan
-        raise ValueError("time-to-go must be nonnegative")
-    r = reduced_cost_coefficient(params)
+    r, u = closed_loop(tau, params)
     s0, sd = params.sigma0, params.sigma_d
     nu, gamma, rho = params.nu, params.gamma, params.rho
     a = r + nu
@@ -245,7 +243,6 @@ def variance_spread(tau, params: ModelParams) -> float:
     p2 = s0**2 + sd**2 * nu**2 + 2.0 * rho * s0 * sd * nu
     p1 = 4.0 * gamma * sd * (nu * sd + rho * s0)
     p0 = 4.0 * gamma**2 * sd**2
-    u = a * tau + c
     linear = p2 / a**2 * tau
     log_part = (p1 / a - 2.0 * p2 * c / a**2) / a * math.log1p(a * tau / c)
     residue = p2 * c**2 / a**2 - p1 * c / a + p0  # numerator at s = -c/a
@@ -314,9 +311,8 @@ def asymptotic_rate_constants(tau, spread, y,
     """
     if not tau > 0:
         raise ValueError("time-to-go must be positive: V(0) = 0")
-    r = reduced_cost_coefficient(params)
+    _, den = closed_loop(tau, params)
     nu, gamma = params.nu, params.gamma
-    den = (r + nu) * tau + 2.0 * gamma
     v = variance_spread(tau, params)
     rate_time = -0.5 * (spread / params.sigma_d) ** 2
     m_inf = (nu * tau + 2.0 * gamma) / den
@@ -337,7 +333,7 @@ def mean_spread_jump(tau, spread, y, params: ModelParams,
     """
     if jumps is None:
         return mean_spread(tau, spread, y, params)
-    r = reduced_cost_coefficient(params)
+    r, _ = closed_loop(tau, params)  # before log1p meets a tau < 0
     nu, gamma = params.nu, params.gamma
     lam, delta, pi = jumps.lam, jumps.delta, jumps.pi
     y_shifted = y + lam * (0.5 * pi - r * delta) * tau
@@ -601,7 +597,7 @@ def error_bound_jump(tau, spread, y, params: ModelParams,
     if jumps is None:
         return error_bound(tau, spread, y, params)
     prefactor = _bound_prefactor(params)
-    v = variance_spread(tau, params)  # refuses tau < 0 before log1p does
+    v = variance_spread(tau, params)
     m_l = float(mean_spread_jump(tau, spread, y, params, jumps))
     moments = SpreadMoments(mean=m_l, variance=v)  # refuses an overflow
     rate = jumps.lam * jumps.p_minus * tau

@@ -38,8 +38,15 @@ def _check_finite(record, names) -> None:
             raise ValueError(f"{name} must be finite")
 
 
+def check_integer(value, name: str) -> None:
+    """Reject a bool or a non-integer; numpy integers pass."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def check_seed(seed: int) -> None:
     """Reject a seed that does not fit the unsigned 64-bit Philox key."""
+    check_integer(seed, "seed")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
 
@@ -209,9 +216,18 @@ def reduced_cost_coefficient(params: ModelParams) -> float:
     Harmonic composition of the production cost slope and the imbalance
     penalty; equals ``eta`` in the pure-trader limit beta -> infinity.
     """
-    if params.pure_trader:
-        return params.eta
-    return params.eta * params.beta / (params.eta + params.beta)
+    eta, beta = params.eta, params.beta  # each read once: a per-step call
+    return eta if beta is None else eta * beta / (eta + beta)
+
+
+def closed_loop(tau, params: ModelParams):
+    """``(r, (r + nu) tau + 2 gamma)``: r and the optimal feedback's
+    denominator at a time-to-go ``tau``, a number or an array.  The one
+    check of tau >= 0: refuses tau < 0 or nan, or an array holding one."""
+    if not (tau >= 0 if isinstance(tau, float) else np.all(tau >= 0)):
+        raise ValueError("time-to-go must be nonnegative")  # or nan
+    r = reduced_cost_coefficient(params)
+    return r, (r + params.nu) * tau + 2.0 * params.gamma
 
 
 def terminal_cost(spread, xi, params: ModelParams):

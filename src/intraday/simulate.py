@@ -389,7 +389,8 @@ def _simulate_chunk(paths: PathSet, rows: slice, recorded: np.ndarray,
             p_hat[cols] += jump_y[lo:hi]
         if k == paths.production_index:
             xi = policy.production_rule(d - x, y)
-        q = policy.rate_rule(k * dt, x + xi, y, d)
+        s = k * dt if k < n_steps else params.horizon  # n_steps dt may miss T
+        q = policy.rate_rule(s, x + xi, y, d)
         if k == recorded[pos]:
             paths.x[rows, pos] = x
             paths.y[rows, pos] = y
@@ -428,13 +429,14 @@ def check_grid(params: ModelParams, jumps: JumpParams | None, n_paths: int,
                dt: float, record_every: Optional[int]) -> int:
     """Validate a simulation grid before anything is computed.
 
-    Rejects a non-positive path count, a ``dt`` that is not finite or does
-    not divide the horizon, a ``dt`` too coarse for the jumps, a bad
-    ``record_every``, a run whose recorded arrays and per-record items and
-    one chunk's jump events plus the fixed ``_CHUNK_BYTES`` of a chunk, or
-    one block of jump draws, exceed physical memory, and more steps than
+    Rejects a path count that is not a positive integer, a ``dt`` that is not
+    finite or does not divide the horizon, a ``dt`` too coarse for the jumps,
+    a bad ``record_every``, a run whose recorded arrays and per-record items
+    and one chunk's jump events plus the fixed ``_CHUNK_BYTES`` of a chunk,
+    or one block of jump draws, exceed physical memory, and more steps than
     int64 event keys index.  Returns the number of Euler steps.
     """
+    model.check_integer(n_paths, "n_paths")
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
     if not (math.isfinite(dt) and dt > 0
@@ -447,8 +449,10 @@ def check_grid(params: ModelParams, jumps: JumpParams | None, n_paths: int,
     if jumps is not None and dt > MAX_JUMP_DT:
         raise ValueError(f"dt > {MAX_JUMP_DT:.0f} s misplaces jump times")
 
-    if record_every is not None and record_every < 1:
-        raise ValueError("record_every must be positive or None")
+    if record_every is not None:
+        model.check_integer(record_every, "record_every")
+        if record_every < 1:
+            raise ValueError("record_every must be positive or None")
     n_recorded = 1 if record_every is None else -(-n_steps // record_every) + 1
     draws = 0.0 if jumps is None else jumps.lam * params.horizon
     # recorded arrays (x, y, d, p_hat, q, jump_flag) and 5 items per

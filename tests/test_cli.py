@@ -76,7 +76,8 @@ class TestSimulate:
 
     def test_last_node_past_the_horizon(self, tmp_path):
         """At dt = 86 400 / 147 s the last node lies 1.5e-11 s past T: the
-        run writes every node, and the last rates are finite."""
+        run writes every node, the last at its time n dt, with the finite
+        rates taken at T."""
         assert run(["simulate", "--scenario", "nojump", "--paths", "3",
                     "--dt", "587.7551020408164", "--out", str(tmp_path)]) == 0
         with (tmp_path / "paths.csv").open() as handle:

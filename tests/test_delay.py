@@ -190,8 +190,20 @@ class TestAfterDelivery:
         lambda state, p, j: closed_form.value_aux_jump(state, p, j),
         lambda state, p, j: error_bounds.error_bound_jump(
             p.horizon - state.t, state.spread, state.y, p, j),
+        lambda state, p, j: closed_form.feedback_rate(
+            p.horizon - state.t, state.spread, state.y, p),
+        lambda state, p, j: closed_form.feedback_rate_jump(
+            p.horizon - state.t, state.spread, state.y, p, j),
+        lambda state, p, j: closed_form.feedback_rate_jump(
+            p.horizon - state.t, state.spread, state.y, p, None),
+        lambda state, p, j: error_bounds.mean_spread(
+            p.horizon - state.t, state.spread, state.y, p),
+        lambda state, p, j: error_bounds.mean_spread_jump(
+            p.horizon - state.t, state.spread, state.y, p, j),
     ], ids=["turning-time", "error-bound-delay", "post-decision-rate",
-            "value-aux", "value-aux-jump", "error-bound-jump"])
+            "value-aux", "value-aux-jump", "error-bound-jump", "feedback-rate",
+            "feedback-rate-jump", "feedback-rate-no-jumps", "mean-spread",
+            "mean-spread-jump"])
     def test_state_after_delivery_is_refused(self, sim_params_eta200,
                                              jumps_negative, call):
         """A day after delivery (t = 2 T) every state function refuses the
@@ -201,6 +213,20 @@ class TestAfterDelivery:
         state = MarketState(t=2.0 * p.horizon, x=0.0, y=50.0, d=50_000.0)
         with pytest.raises(ValueError, match="time-to-go must be nonnegative"):
             call(state, p, jumps_negative)
+
+    @pytest.mark.parametrize("tau", [math.nan, np.array([0.0, 3600.0, -1e-9])],
+                             ids=["nan", "array"])
+    @pytest.mark.parametrize("call", [
+        lambda tau, p, j: closed_form.feedback_rate(tau, 5e4, 50.0, p),
+        lambda tau, p, j: closed_form.feedback_rate_jump(tau, 5e4, 50.0, p, j),
+        lambda tau, p, j: error_bounds.mean_spread(tau, 5e4, 50.0, p),
+    ], ids=["feedback-rate", "feedback-rate-jump", "mean-spread"])
+    def test_nan_or_negative_node_is_refused(self, sim_params_eta200,
+                                             jumps_negative, call, tau):
+        """A nan time-to-go, or an array of them with one node after
+        delivery, is refused as a whole, not turned into rates."""
+        with pytest.raises(ValueError, match="time-to-go must be nonnegative"):
+            call(tau, sim_params_eta200, jumps_negative)
 
 
 class TestCompositePolicy:

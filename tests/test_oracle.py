@@ -311,6 +311,9 @@ class TestVerificationReport:
         (True, dict(dt=3600.0), "misplaces jump times"),
         (False, dict(n_paths=0), "n_paths must be at least 1"),
         (False, dict(n_paths=10**12), "physical memory"),
+        (False, dict(n_paths=2.5), "n_paths must be an integer"),
+        (False, dict(seed=1.5), "seed must be an integer"),
+        (False, dict(seed=True), "seed must be an integer"),
     ])
     def test_bad_grid_rejected_before_the_oracle(self, sim_params,
                                                  jumps_negative, monkeypatch,

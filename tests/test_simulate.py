@@ -44,6 +44,10 @@ class TestValidation:
     @pytest.mark.parametrize("kwargs", [
         dict(n_paths=0), dict(dt=0.0), dict(seed=-1), dict(record_every=0),
         dict(seed=2**64),
+        # a bool or a float is not a count: 2.5 paths, a seed 1.5 keyed as
+        # seed 1, or nodes recorded at steps 2.5, 5.0, ... that no step hits
+        dict(seed=1.5), dict(seed=True), dict(n_paths=2.5),
+        dict(n_paths=True), dict(record_every=2.5), dict(record_every=True),
     ])
     def test_bad_arguments_rejected(self, sim_params, kwargs):
         policy = simulate.zero_policy(sim_params)
@@ -53,6 +57,19 @@ class TestValidation:
             simulate.sample_paths(sim_params, None, policy, args["n_paths"],
                                   args["dt"], args["seed"],
                                   record_every=args["record_every"])
+
+    def test_numpy_integers_accepted(self, sim_params):
+        """numpy integers are counts and seeds like ints, with the same
+        paths."""
+        policy = simulate.optimal_policy(sim_params, None)
+        ours = simulate.sample_paths(sim_params, None, policy, np.int64(3),
+                                     3600.0, np.uint64(5), d0=5e4,
+                                     record_every=np.int32(5))
+        ref = simulate.sample_paths(sim_params, None, policy, 3, 3600.0, 5,
+                                    d0=5e4, record_every=5)
+        assert np.array_equal(ours.times, ref.times)
+        assert np.array_equal(ours.q, ref.q)
+        assert np.array_equal(ours.d, ref.d)
 
 
     @pytest.mark.parametrize("state", [dict(d0=math.nan), dict(y0=math.inf),
@@ -752,18 +769,25 @@ class TestRecording:
         assert paths.times.shape == (1,)
         assert paths.times[0] == sim_params.horizon
 
-    def test_last_node_past_the_horizon(self, sim_params):
+    @pytest.mark.parametrize("steps, past", [(147, True), (161, False)])
+    def test_last_node_past_the_horizon(self, sim_params, steps, past):
         """dt = 86 400 / 147 s rounds so that the last node lies 1.5e-11 s
-        past T, where the rate rule runs at tau < 0; the run succeeds, and
-        its last rate is finite."""
-        dt = 587.7551020408164
-        assert 147 * dt > sim_params.horizon
+        past T, and 86 400 / 161 s so that it lies as far short of it.  The
+        node is recorded at n dt, and its rate is taken at T: the tau = 0
+        rate, bit for bit."""
+        dt = sim_params.horizon / steps
+        assert (steps * dt > sim_params.horizon) is past
         policy = simulate.optimal_policy(sim_params, None)
         paths = simulate.sample_paths(sim_params, None, policy, 3, dt, 2,
                                       d0=5e4, y0=50.0)
-        assert paths.times.size == 148
-        assert paths.times[-1] > sim_params.horizon
+        assert paths.times.size == steps + 1
+        assert paths.times[-1] == steps * dt != sim_params.horizon
+        assert (paths.times[-1] > sim_params.horizon) == past
         assert np.isfinite(paths.q[:, -1]).all()
+        at_delivery = closed_form.feedback_rate_jump(
+            0.0, paths.d[:, -1] - (paths.x[:, -1] + paths.xi), paths.y[:, -1],
+            sim_params, None)
+        assert np.array_equal(paths.q[:, -1], at_delivery)
 
     def test_final_node_always_recorded(self, sim_params):
         policy = simulate.zero_policy(sim_params)
