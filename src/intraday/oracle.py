@@ -27,8 +27,8 @@ from typing import Callable
 import numpy as np
 
 from . import closed_form, error_bounds, simulate
-from .model import (JumpParams, MarketState, ModelParams, check_seed,
-                    reduced_cost_coefficient, terminal_cost)
+from .model import (JumpParams, MarketState, ModelParams, check_integer,
+                    check_seed, reduced_cost_coefficient, terminal_cost)
 
 #: Relative tolerance of the closed-form comparison, at every stiffness.
 ODE_RTOL = 1e-8
@@ -133,6 +133,7 @@ def integrate_jump_riccati(params: ModelParams, jumps: JumpParams | None,
     ``jumps=None`` this is the no-jump system."""
     if not 0 < tau_max < math.inf:
         raise ValueError("tau_max must be positive and finite")
+    check_integer(n_steps, "n_steps")
     if n_steps < 1:
         raise ValueError("n_steps must be positive")
     r = reduced_cost_coefficient(params)
@@ -250,6 +251,9 @@ def optimality_probe(params: ModelParams, jumps: JumpParams | None,
     """
     if perturbation_scale <= 0:
         raise ValueError("perturbation_scale must be positive")
+    if not all(math.isfinite(perturbation_scale * f) for f in epsilon_factors):
+        raise ValueError("every bump perturbation_scale * factor must be "
+                         "finite")
     _check_mc_paths(n_paths)
 
     def realized_cost(policy):

@@ -12,6 +12,10 @@ component hitting demand and price simultaneously.  Jumps are drawn at
 their exact exponential times and applied at the next grid node; the rate
 rule sees the post-jump state from that node onward.
 
+A node is its index k, at time k dt, except that the production node is
+evaluated and recorded at exactly the production time (a grid node), and
+the last node at exactly T.
+
 Randomness comes from a counter-based generator (Philox) keyed by
 ``(seed, path_id, stream_id)`` with separate streams for W, W_perp, jump
 times and jump signs, so results are bit-identical for a fixed seed,
@@ -85,13 +89,13 @@ class Policy:
     """Feedback trading policy plus a one-shot production decision.
 
     ``rate_rule(s, x, y, d)`` maps the time and the (vectorised) state to
-    a trading rate in MW/s; after the production time the inventory ``x``
-    passed in includes the produced quantity.  ``production_rule(spread, y)``
-    is invoked exactly once per path at the grid node nearest the
-    production time from below.  Either rule may return a float, which
-    applies to every path.  The simulation updates the state arrays it
-    passes in place after each step, so a rule must neither keep them nor
-    return them.
+    a trading rate in MW/s; from the production node on, the inventory
+    ``x`` passed in includes the produced quantity.
+    ``production_rule(spread, y)`` is invoked exactly once per path, at
+    the production time, a grid node.  Either rule may return a float,
+    which applies to every path.  The simulation updates the state arrays
+    it passes in place after each step, so a rule must neither keep them
+    nor return them.
     """
 
     rate_rule: Callable
@@ -103,12 +107,16 @@ class Policy:
 class PathSet:
     """Simulated trajectories on (a thinning of) the time grid.
 
+    ``nodes`` holds the recorded grid node indices, the node's identity;
+    ``times`` their times, ``k dt`` except at the nodes that stand for a
+    named time (the production time and T), which hold that time.
     ``x, y, d, p_hat, q`` have shape (n_paths, n_recorded); ``jump_flag``
     sums signed jumps applied at each recorded node; ``xi`` and
     ``running_cost`` (the left-Riemann trading cost integral, accumulated
     at full resolution) have shape (n_paths,).
     """
 
+    nodes: np.ndarray
     times: np.ndarray
     x: np.ndarray
     y: np.ndarray
@@ -262,8 +270,8 @@ def _draw_jumps(seed: int, first: int, jumps: JumpParams, horizon: float,
     return times, np.where(uniforms < jumps.p_plus, 1, -1), column
 
 
-def _jump_events(paths: PathSet, rows: slice, recorded: np.ndarray,
-                 jumps: JumpParams | None, horizon: float
+def _jump_events(paths: PathSet, rows: slice, jumps: JumpParams | None,
+                 horizon: float
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The chunk's jumps as events sorted by grid node.
 
@@ -271,14 +279,14 @@ def _jump_events(paths: PathSet, rows: slice, recorded: np.ndarray,
     event per (node, path) that has jumps, its demand and price jumps
     summed in draw order.  The signs of the jumps at recorded nodes go
     straight into ``paths.jump_flag``, at columns found by ``searchsorted``
-    in ``recorded``.  Each path draws from its own streams.  Paths draw in
+    in ``paths.nodes``.  Each path draws from its own streams.  Paths draw in
     blocks whose expected draws add up to at most one per grid step (the
     whole chunk when its draws do, else at least one path), and each
     block's draws are merged into events as soon as they are drawn.
     """
     if jumps is None:
         return np.empty(0, np.int64), np.empty(0), np.empty(0)
-    n, n_steps, dt = rows.stop - rows.start, int(recorded[-1]), paths.dt
+    n, n_steps, dt = rows.stop - rows.start, int(paths.nodes[-1]), paths.dt
     draws = jumps.lam * horizon  # may underflow to 0.0: not divided by
     width = n if n * draws <= n_steps else max(1, int(n_steps // draws))
     flags = paths.jump_flag[rows]
@@ -290,8 +298,8 @@ def _jump_events(paths: PathSet, rows: slice, recorded: np.ndarray,
         # first grid node at or after the exact jump time
         nodes = np.minimum(np.ceil(times / dt - 1e-12).astype(np.int64),
                            n_steps)
-        pos = np.searchsorted(recorded, nodes)
-        hit = recorded[pos] == nodes
+        pos = np.searchsorted(paths.nodes, nodes)
+        hit = paths.nodes[pos] == nodes
         np.add.at(flags, (column[hit], pos[hit]), signs[hit])
         # bincount sums each (node, path) from 0.0 in draw order; a pairwise
         # sum would change the bits
@@ -316,16 +324,24 @@ def _jump_events(paths: PathSet, rows: slice, recorded: np.ndarray,
     return node_major(keys), node_major(d_parts), node_major(y_parts)
 
 
-def _simulate_chunk(paths: PathSet, rows: slice, recorded: np.ndarray,
-                    params: ModelParams, jumps: JumpParams | None,
-                    policy: Policy, start: MarketState) -> None:
+def _named_times(paths: PathSet, policy: Policy, horizon: float) -> dict:
+    """Nodes that stand for a named time, with that time; the last node is
+    at T also where it is the production node."""
+    return {paths.production_index: policy.production_time,
+            int(paths.nodes[-1]): horizon}
+
+
+def _simulate_chunk(paths: PathSet, rows: slice, params: ModelParams,
+                    jumps: JumpParams | None, policy: Policy,
+                    start: MarketState) -> None:
     """Simulate the paths with ids ``rows`` and write them into ``paths``."""
     n = rows.stop - rows.start
-    dt, seed, n_steps = paths.dt, paths.seed, int(recorded[-1])
+    dt, seed, recorded = paths.dt, paths.seed, paths.nodes
+    n_steps = int(recorded[-1])
+    named = _named_times(paths, policy, params.horizon)
 
     # the events first: they peak while being sorted, before the noise exists
-    key, jump_d, jump_y = _jump_events(paths, rows, recorded, jumps,
-                                       params.horizon)
+    key, jump_d, jump_y = _jump_events(paths, rows, jumps, params.horizon)
 
     # time-major: row j of dw/db is step k0 + j of every path in the window
     # that starts at step k0, stored as the price and demand increments
@@ -389,8 +405,7 @@ def _simulate_chunk(paths: PathSet, rows: slice, recorded: np.ndarray,
             p_hat[cols] += jump_y[lo:hi]
         if k == paths.production_index:
             xi = policy.production_rule(d - x, y)
-        s = k * dt if k < n_steps else params.horizon  # n_steps dt may miss T
-        q = policy.rate_rule(s, x + xi, y, d)
+        q = policy.rate_rule(named.get(k, k * dt), x + xi, y, d)
         if k == recorded[pos]:
             paths.x[rows, pos] = x
             paths.y[rows, pos] = y
@@ -425,6 +440,14 @@ def _simulate_chunk(paths: PathSet, rows: slice, recorded: np.ndarray,
     paths.running_cost[rows] = running_cost
 
 
+def _grid_node(time: float, dt: float, name: str) -> int:
+    """The grid node at ``time``, refused more than 1e-6 dt off the grid."""
+    node = round(time / dt)
+    if abs(node * dt - time) > 1e-6 * dt:
+        raise ValueError(f"dt must divide the {name}")
+    return node
+
+
 def check_grid(params: ModelParams, jumps: JumpParams | None, n_paths: int,
                dt: float, record_every: Optional[int]) -> int:
     """Validate a simulation grid before anything is computed.
@@ -443,8 +466,8 @@ def check_grid(params: ModelParams, jumps: JumpParams | None, n_paths: int,
             and math.isfinite(params.horizon / dt)):
         raise ValueError("dt must be positive and finite, "
                          "and horizon / dt finite")
-    n_steps = round(params.horizon / dt)
-    if n_steps < 1 or abs(n_steps * dt - params.horizon) > 1e-6 * dt:
+    n_steps = _grid_node(params.horizon, dt, "horizon")
+    if n_steps < 1:
         raise ValueError("dt must divide the horizon")
     if jumps is not None and dt > MAX_JUMP_DT:
         raise ValueError(f"dt > {MAX_JUMP_DT:.0f} s misplaces jump times")
@@ -502,16 +525,18 @@ def sample_paths(params: ModelParams, jumps: JumpParams | None, policy: Policy,
 
     if not 0.0 <= policy.production_time <= params.horizon:
         raise ValueError("production time must lie in [0, horizon]")
-    production_index = min(int(math.floor(policy.production_time / dt + 1e-9)),
-                           n_steps)
+    production_index = _grid_node(policy.production_time, dt,
+                                  "production time")
 
     shape = (n_paths, recorded.size)
-    paths = PathSet(times=recorded * dt,
+    paths = PathSet(nodes=recorded, times=recorded * dt,
                     x=np.empty(shape), y=np.empty(shape), d=np.empty(shape),
                     p_hat=np.empty(shape), q=np.empty(shape),
                     jump_flag=np.zeros(shape, dtype=np.int64),
                     xi=np.empty(n_paths), running_cost=np.empty(n_paths),
                     production_index=production_index, dt=dt, seed=seed)
+    for node, time in _named_times(paths, policy, params.horizon).items():
+        paths.times[recorded == node] = time
     chunk, window = min(n_paths, _CHUNK), min(_WINDOW, n_steps)
     logger.debug("%d paths, %d steps, %d chunks, window of %d steps, "
                  "%d noise bytes per chunk, %d RNG streams", n_paths, n_steps,
@@ -519,7 +544,7 @@ def sample_paths(params: ModelParams, jumps: JumpParams | None, policy: Policy,
                  n_paths * (2 if jumps is None else 4))
     for first in range(0, n_paths, _CHUNK):
         rows = slice(first, min(first + _CHUNK, n_paths))
-        _simulate_chunk(paths, rows, recorded, params, jumps, policy, start)
+        _simulate_chunk(paths, rows, params, jumps, policy, start)
     return paths
 
 
@@ -552,7 +577,7 @@ def martingale_diagnostics(paths: PathSet, params: ModelParams,
     production-adjusted inventory).  The theoretical drift is 0 without
     jumps and ``-lam pi / (2 gamma)`` with jumps.
     """
-    mask = paths.times < paths.production_index * paths.dt
+    mask = paths.nodes < paths.production_index
     times = paths.times[mask]
     if times.size < 3:
         raise ValueError("need at least 3 recorded nodes for a slope")
@@ -579,18 +604,19 @@ def export_csv(paths: PathSet, destination) -> Path:
     whole arrays), and each path is one ``write``.
     """
     destination = Path(destination)
-    times, decision = paths.times.tolist(), paths.production_index * paths.dt
-    if decision not in times:
+    nodes = paths.nodes.tolist()
+    if paths.production_index not in nodes:
         raise ValueError("the production decision node is not recorded; "
                          "the CSV would lose xi")
-    decision_pos, time_cells = times.index(decision), list(map(repr, times))
+    decision_pos = nodes.index(paths.production_index)
+    time_cells = list(map(repr, paths.times.tolist()))
     try:
         with destination.open("w", newline="") as handle:
             handle.write("time_s,path_id,X,Y,D,P_hat,q,jump_flag,xi_at_decision\n")
             for path_id in range(paths.n_paths):
-                xi_cells = ["0.0"] * len(times)
+                xi_cells = ["0.0"] * len(nodes)
                 xi_cells[decision_pos] = repr(float(paths.xi[path_id]))
-                columns = [time_cells, [str(path_id)] * len(times)]
+                columns = [time_cells, [str(path_id)] * len(nodes)]
                 columns += [map(repr, rows[path_id].tolist()) for rows in
                             (paths.x, paths.y, paths.d, paths.p_hat, paths.q)]
                 columns += [map(str, paths.jump_flag[path_id].tolist()), xi_cells]

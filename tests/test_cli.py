@@ -75,16 +75,16 @@ class TestSimulate:
         assert len(content) == 2 * 25  # 24 hourly steps + initial node
 
     def test_last_node_past_the_horizon(self, tmp_path):
-        """At dt = 86 400 / 147 s the last node lies 1.5e-11 s past T: the
-        run writes every node, the last at its time n dt, with the finite
-        rates taken at T."""
+        """At dt = 86 400 / 147 s, n dt lies 1.5e-11 s past T: the run
+        writes every node, the last at T, with the finite rates taken
+        there."""
         assert run(["simulate", "--scenario", "nojump", "--paths", "3",
                     "--dt", "587.7551020408164", "--out", str(tmp_path)]) == 0
         with (tmp_path / "paths.csv").open() as handle:
             rows = list(csv.DictReader(handle))
         assert len(rows) == 3 * 148
         last = [row for row in rows if row["time_s"] == rows[-1]["time_s"]]
-        assert float(last[0]["time_s"]) > 86_400.0
+        assert last[0]["time_s"] == "86400.0"
         assert len(last) == 3
         assert all(math.isfinite(float(row["q"])) for row in last)
 
@@ -92,6 +92,17 @@ class TestSimulate:
         assert run(["simulate", "--scenario", "delay", "--paths", "1",
                     "--dt", "3600", "--out", str(tmp_path)]) == 0
         assert (tmp_path / "paths.csv").exists()
+
+    def test_off_grid_production_time_is_validation_error(self, tmp_path,
+                                                          capsys):
+        """A 0.3 h delay puts T - h between the nodes of the hourly grid."""
+        config = edited_preset(tmp_path / "delay.json", "sim-delay",
+                               lambda payload: payload.update(delay_hours=0.3))
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", config, "--paths", "2",
+                    "--dt", "3600", "--out", str(out)]) == 1
+        assert "dt must divide the production time" in capsys.readouterr().err
+        assert not (out / "paths.csv").exists()
 
     def test_unknown_scenario_is_validation_error(self, tmp_path, capsys):
         assert run(["simulate", "--scenario", "bogus",

@@ -150,6 +150,13 @@ class TestRk4Integration:
                                              "and finite"):
             oracle.integrate_jump_riccati(sim_params, None, tau_max, 100)
 
+    @pytest.mark.parametrize("n_steps", [2.5, True])
+    def test_non_integer_n_steps(self, sim_params, n_steps):
+        """2.5 used to fail as a TypeError in numpy, and True to integrate
+        the whole horizon in one RK4 step."""
+        with pytest.raises(ValueError, match="n_steps must be an integer"):
+            oracle.integrate_jump_riccati(sim_params, None, 3600.0, n_steps)
+
     def test_invalid_arguments(self, sim_params):
         with pytest.raises(ValueError):
             oracle.integrate_jump_riccati(sim_params, None, 3600.0, 0)
@@ -264,10 +271,24 @@ class TestOptimalityProbe:
         for r in results:
             assert r.mean_increase > 0.0
 
-    def test_invalid_scale(self, sim_params):
+    @pytest.mark.parametrize("scale", [0.0, math.nan, math.inf])
+    def test_invalid_scale(self, sim_params, scale):
         base = simulate.optimal_policy(sim_params, None, constrained=False)
         with pytest.raises(ValueError):
-            oracle.optimality_probe(sim_params, None, base, 0.0, 10, 0)
+            oracle.optimality_probe(sim_params, None, base, scale, 10, 0)
+
+    def test_non_finite_bump_refused_before_simulating(self, sim_params,
+                                                       monkeypatch):
+        """A nan factor used to simulate every path and return nan
+        results; a negative one is a bump like any other."""
+        def not_called(*args, **kwargs):
+            raise AssertionError("paths were simulated")
+
+        monkeypatch.setattr(simulate, "sample_paths", not_called)
+        base = simulate.optimal_policy(sim_params, None, constrained=False)
+        with pytest.raises(ValueError, match="must be finite"):
+            oracle.optimality_probe(sim_params, None, base, 0.25, 10, 0,
+                                    epsilon_factors=(-1.0, math.nan))
 
     def test_one_path_refused_before_simulating(self, sim_params,
                                                 monkeypatch):

@@ -34,6 +34,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="production time"):
             simulate.sample_paths(sim_params, None, policy, 1, 60.0, 0)
 
+    def test_off_grid_production_time_refused(self, sim_params):
+        """T - 0.3 h is not a node of the hourly grid; it used to be moved
+        to the node below."""
+        policy = delay.composite_delay_policy(sim_params, 1080.0)
+        with pytest.raises(ValueError,
+                           match="dt must divide the production time"):
+            simulate.sample_paths(sim_params, None, policy, 1, 3600.0, 0)
+
     def test_coarse_dt_with_jumps_rejected(self, sim_params_eta200,
                                            jumps_positive):
         policy = simulate.optimal_policy(sim_params_eta200, jumps_positive)
@@ -530,9 +538,8 @@ class TestJumpDraws:
         paths = simulate.sample_paths(params, None,
                                       simulate.zero_policy(params), n, dt,
                                       cli.DEFAULT_SEED, record_every=1)
-        key, jump_d, jump_y = simulate._jump_events(
-            paths, slice(0, n), np.arange(paths.times.size), jumps,
-            params.horizon)
+        key, jump_d, jump_y = simulate._jump_events(paths, slice(0, n), jumps,
+                                                    params.horizon)
         expected, shared = {}, False
         for pid in range(n):
             times, signs = _running_sum_jumps(cli.DEFAULT_SEED, pid, jumps,
@@ -771,18 +778,18 @@ class TestRecording:
 
     @pytest.mark.parametrize("steps, past", [(147, True), (161, False)])
     def test_last_node_past_the_horizon(self, sim_params, steps, past):
-        """dt = 86 400 / 147 s rounds so that the last node lies 1.5e-11 s
-        past T, and 86 400 / 161 s so that it lies as far short of it.  The
-        node is recorded at n dt, and its rate is taken at T: the tau = 0
-        rate, bit for bit."""
+        """dt = 86 400 / 147 s rounds so that n dt lies 1.5e-11 s past T,
+        and 86 400 / 161 s so that it lies as far short of it.  The last
+        node stands for T: it is recorded at T, and its rate is taken
+        there, the tau = 0 rate bit for bit."""
         dt = sim_params.horizon / steps
         assert (steps * dt > sim_params.horizon) is past
         policy = simulate.optimal_policy(sim_params, None)
         paths = simulate.sample_paths(sim_params, None, policy, 3, dt, 2,
                                       d0=5e4, y0=50.0)
         assert paths.times.size == steps + 1
-        assert paths.times[-1] == steps * dt != sim_params.horizon
-        assert (paths.times[-1] > sim_params.horizon) == past
+        assert paths.nodes[-1] == steps
+        assert paths.times[-1] == sim_params.horizon
         assert np.isfinite(paths.q[:, -1]).all()
         at_delivery = closed_form.feedback_rate_jump(
             0.0, paths.d[:, -1] - (paths.x[:, -1] + paths.xi), paths.y[:, -1],
@@ -794,6 +801,51 @@ class TestRecording:
         paths = simulate.sample_paths(sim_params, None, policy, 1, 1800.0, 2,
                                       record_every=7)  # 7 does not divide 48
         assert paths.times[-1] == sim_params.horizon
+
+
+class TestNamedNodes:
+    """A node that stands for a named time is evaluated and recorded at
+    that time, and found by its index."""
+
+    def test_decision_node_trades_as_pure_trader(self):
+        """sim-delay at dt = 86 400 / 5238 s: node 4365 is T - h, though
+        4365 dt lies 1.5e-11 s before it.  From that node on the producer
+        trades as a pure trader with xi folded into the inventory."""
+        params, _, h = load_param_file(cli.resolve_config("sim-delay", None))
+        policy = delay.composite_delay_policy(params, h)
+        paths = simulate.sample_paths(params, None, policy, 4,
+                                      params.horizon / 5238, 3,
+                                      d0=cli.DEFAULT_D0, y0=cli.DEFAULT_Y0)
+        k = paths.production_index
+        assert k == 4365 and paths.nodes[k] == k
+        assert paths.times[k] == params.horizon - h
+        pure_trader = closed_form.feedback_rate(
+            h, paths.d[:, k] - (paths.x[:, k] + paths.xi), paths.y[:, k],
+            replace(params, beta=None))
+        assert paths.q[:, k].tobytes() == pure_trader.tobytes()
+
+    @pytest.mark.parametrize("steps", [147, 161])
+    def test_decision_at_the_last_node(self, sim_params, steps, tmp_path):
+        """Where n dt misses T, the CSV still writes xi on the last row,
+        and the drift slope still leaves the last node out."""
+        policy = simulate.optimal_policy(sim_params, None)
+        paths = simulate.sample_paths(sim_params, None, policy, 3,
+                                      sim_params.horizon / steps, 2,
+                                      d0=5e4, y0=50.0)
+        assert paths.production_index == steps
+        with simulate.export_csv(paths, tmp_path / "paths.csv").open() as f:
+            rows = list(csv.DictReader(f))
+        for path_id, xi in enumerate(paths.xi.tolist()):
+            block = rows[path_id * (steps + 1):(path_id + 1) * (steps + 1)]
+            assert block[-1]["time_s"] == "86400.0"
+            assert xi != 0.0
+            assert [row["xi_at_decision"] for row in block] == (
+                ["0.0"] * steps + [repr(xi)])
+        drift = simulate.martingale_diagnostics(paths, sim_params)
+        before = np.arange(steps + 1) < steps
+        centred = paths.times[before] - paths.times[before].mean()
+        slopes = paths.q[:, before] @ centred / float((centred**2).sum())
+        assert drift.slope == float(slopes.mean())
 
 
 class TestEstimates:
@@ -871,6 +923,10 @@ class TestCsvExport:
         n_rec = paths.times.size
         assert len(rows) == paths.n_paths * n_rec
         decision = paths.times == paths.production_index * paths.dt
+        # the float lookup of bench/workloads.py::csv_matches finds the
+        # decision node on this dt = 60 s grid
+        assert np.array_equal(decision,
+                              paths.nodes == paths.production_index)
         assert decision.sum() == 1
         for path_id in range(paths.n_paths):
             block = rows[path_id * n_rec:(path_id + 1) * n_rec]
