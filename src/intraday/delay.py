@@ -6,8 +6,8 @@ the production from the state at ``T - h``, then trade on as a pure trader.
 Remarkably the auxiliary value function only shifts by a state-independent
 constant, ``v_h = v_0 + K_h``, with ``K_h`` explicit (one linear term and
 two logarithms).  This module provides K_h, the delayed production rule,
-the truncated variance integral V_h, the delayed error bound and mean
-post-decision rate, and a composite simulation policy.
+the variance V_h = ``variance_spread(T, params, h)`` accrued after T - h,
+the delayed error bound and mean post-decision rate, and a composite policy.
 """
 
 from __future__ import annotations
@@ -27,12 +27,14 @@ def _check_delay(h: float, params: ModelParams) -> None:
         raise ValueError("delay must lie in [0, horizon]")
 
 
-def _variance_after(tau: float, h: float, params: ModelParams) -> float:
-    """Spread variance V(tau) - V(h) accrued after a decision h before T."""
-    v_tau = error_bounds.variance_spread(tau, params)  # refuses tau < 0
-    if h > tau:
-        raise ValueError("delay exceeds remaining time-to-go")
-    return max(v_tau - error_bounds.variance_spread(h, params), 0.0)
+def _post_decision(state, params: ModelParams, h: float):
+    """tau = T - t, the mean terminal spread m, V_h, and the pure trader's
+    rate denominator (eta + nu) h + 2 gamma at time-to-go h."""
+    _check_delay(h, params)
+    tau = params.horizon - state.t
+    v_h = error_bounds.variance_spread(tau, params, h)
+    m = float(error_bounds.mean_spread(tau, state.spread, state.y, params))
+    return tau, m, v_h, (params.eta + params.nu) * h + 2.0 * params.gamma
 
 
 def delay_constant(h: float, params: ModelParams) -> float:
@@ -78,10 +80,10 @@ def variance_spread_delay(h: float, params: ModelParams) -> float:
     """Variance V_h(T) of the terminal spread accrued after T - h.
 
     Same integrand as V with the lower limit moved from 0 to h, hence
-    V(T) - V(h); decreasing in h with V_T(T) = 0.
+    ``variance_spread(T, params, h)``; decreasing in h with V_T(T) = 0.
     """
     _check_delay(h, params)
-    return _variance_after(params.horizon, h, params)
+    return error_bounds.variance_spread(params.horizon, params, h)
 
 
 def error_bound_delay(state, params: ModelParams,
@@ -92,13 +94,9 @@ def error_bound_delay(state, params: ModelParams,
     V_h psi(m / sqrt(V_h))``; h = 0 recovers the plain bound and the bound
     decreases to 0 as h grows to T.
     """
-    _check_delay(h, params)
-    tau = params.horizon - state.t
-    v_h = _variance_after(tau, h, params)
+    _, m, v_h, den_np = _post_decision(state, params, h)
     _, den_h = closed_loop(h, params)
-    prefactor = (error_bounds._bound_prefactor(params) * den_h
-                 / ((params.eta + params.nu) * h + 2.0 * params.gamma))
-    m = float(error_bounds.mean_spread(tau, state.spread, state.y, params))
+    prefactor = error_bounds._bound_prefactor(params) * den_h / den_np
     return error_bounds._report(m, v_h, prefactor)
 
 
@@ -109,17 +107,13 @@ def post_decision_mean_rate(state, params: ModelParams, h: float) -> float:
     psi_tilde(m / sqrt(V_h))``, never larger than the pre-decision rate
     q0; the mean inventory slope is piecewise constant, q0 then q0_h.
     """
-    _check_delay(h, params)
-    tau = params.horizon - state.t
-    v_h = _variance_after(tau, h, params)
+    tau, m, v_h, den_np = _post_decision(state, params, h)
     r = reduced_cost_coefficient(params)
     q0 = closed_form.feedback_rate(tau, state.spread, state.y, params)
     if v_h == 0.0:
         return float(q0)
-    m = float(error_bounds.mean_spread(tau, state.spread, state.y, params))
     sqrt_v = math.sqrt(v_h)
-    shift = (params.eta * r
-             / (params.beta * ((params.eta + params.nu) * h + 2.0 * params.gamma))
+    shift = (params.eta * r / (params.beta * den_np)
              * sqrt_v * error_bounds.psi_tilde(m / sqrt_v))
     return float(q0 - shift)
 

@@ -225,28 +225,33 @@ def mean_spread(tau, spread, y, params: ModelParams):
     return ((nu * tau + 2.0 * gamma) * (mu * tau + spread) + y * tau) / den
 
 
-def variance_spread(tau, params: ModelParams) -> float:
-    """Variance V(tau) of the terminal spread, integrated in closed form.
+def variance_spread(tau, params: ModelParams, h=0.0) -> float:
+    """Variance of the terminal spread accrued from time-to-go tau down to
+    h, in closed form: V(tau) at h = 0, V(tau) - V(h) at a decision h > 0.
 
-    The integrand is a quadratic polynomial in s over the square of the
-    linear factor ``(r + nu) s + 2 gamma``; partial fractions give a
-    linear term, a logarithm, and an inverse term from the double root at
-    ``s = -2 gamma / (r + nu)``.  Its value ``u`` at s = tau, and the
-    refusal of tau < 0 or nan, come from :func:`intraday.model.closed_loop`.
+    The integrand is a quadratic polynomial in s over the square of ``u(s)
+    = (r + nu) s + 2 gamma``.  Its partial fractions integrate over [h, tau]
+    to terms in w = tau - h, ``log1p(a w / u(h))`` and ``w / (u(h) u(tau))``,
+    which subtract no nearly equal numbers.  u, and the refusal of tau or h
+    < 0 or nan, come from :func:`intraday.model.closed_loop`.
     """
-    r, u = closed_loop(tau, params)
+    r, u_tau = closed_loop(tau, params)
+    _, u_h = closed_loop(h, params)
+    if h > tau:
+        raise ValueError("delay exceeds remaining time-to-go")
     s0, sd = params.sigma0, params.sigma_d
     nu, gamma, rho = params.nu, params.gamma, params.rho
     a = r + nu
     c = 2.0 * gamma
+    w = tau - h
     # numerator polynomial p2 s^2 + p1 s + p0
     p2 = s0**2 + sd**2 * nu**2 + 2.0 * rho * s0 * sd * nu
     p1 = 4.0 * gamma * sd * (nu * sd + rho * s0)
     p0 = 4.0 * gamma**2 * sd**2
-    linear = p2 / a**2 * tau
-    log_part = (p1 / a - 2.0 * p2 * c / a**2) / a * math.log1p(a * tau / c)
+    linear = p2 / a**2 * w
+    log_part = (p1 / a - 2.0 * p2 * c / a**2) / a * math.log1p(a * w / u_h)
     residue = p2 * c**2 / a**2 - p1 * c / a + p0  # numerator at s = -c/a
-    inverse = residue / a * (1.0 / c - 1.0 / u)
+    inverse = residue * w / (u_h * u_tau)
     return max(linear + log_part + inverse, 0.0)
 
 

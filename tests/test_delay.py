@@ -110,9 +110,21 @@ class TestDelayedVariance:
     def test_boundaries(self, sim_params_eta200):
         p = sim_params_eta200
         full = error_bounds.variance_spread(p.horizon, p)
-        assert delay.variance_spread_delay(0.0, p) == pytest.approx(full)
-        assert delay.variance_spread_delay(p.horizon, p) == \
-            pytest.approx(0.0, abs=1e-6 * full)
+        assert delay.variance_spread_delay(0.0, p) == full
+        assert delay.variance_spread_delay(p.horizon, p) == 0.0
+
+    @pytest.mark.parametrize("tau", [0.0, 1e-9, 1.0, 4 * HOUR, 24 * HOUR])
+    def test_nothing_accrues_at_the_decision(self, sim_params_eta200, tau):
+        assert error_bounds.variance_spread(tau, sim_params_eta200, tau) == 0.0
+
+    def test_delay_beyond_time_to_go_refused(self, sim_params_eta200):
+        with pytest.raises(ValueError, match="delay exceeds remaining"):
+            error_bounds.variance_spread(3600.0, sim_params_eta200, h=7200.0)
+
+    @pytest.mark.parametrize("h", [-1.0, math.nan])
+    def test_negative_or_nan_delay_refused(self, sim_params_eta200, h):
+        with pytest.raises(ValueError, match="nonnegative"):
+            error_bounds.variance_spread(3600.0, sim_params_eta200, h)
 
     def test_decreasing_in_h(self, sim_params_eta200):
         grid = np.linspace(0.0, 24 * HOUR, 20)
@@ -142,6 +154,14 @@ class TestDelayedBound:
         state = MarketState(t=23 * HOUR, x=0.0, y=50.0, d=50_000.0)
         with pytest.raises(ValueError):
             delay.error_bound_delay(state, sim_params_eta200, 4 * HOUR)
+
+    @pytest.mark.parametrize("function", [delay.error_bound_delay,
+                                          delay.post_decision_mean_rate])
+    def test_decision_in_the_past_refused(self, sim_params_eta200, function):
+        """22 h into the day the decision 4 h before delivery is past."""
+        state = MarketState(t=22 * HOUR, x=0.0, y=50.0, d=50_000.0)
+        with pytest.raises(ValueError, match="delay exceeds remaining"):
+            function(state, sim_params_eta200, 4 * HOUR)
 
 
 class TestPostDecisionRate:

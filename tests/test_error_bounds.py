@@ -899,18 +899,21 @@ class TestJumpBoundPinned:
     """The jump bound at sim-jump-neg's parameters, against the values the
     cos/sin evaluation of the jump transform gave before the phase table.
     Both sum the same trapezoid rule in float64, so only rounding moves
-    them."""
+    them.  The 1 s shortfall and the 1 ms row are pinned at the
+    cancellation-free V: handed the correctly rounded 40-digit V instead,
+    the bound gives them bit for bit at 1 s and within 3.8e-16 at 1 ms."""
 
     @pytest.mark.parametrize("tau, spread, y, bound, shortfall, rel", [
         (24 * HOUR, 50_000.0, 50.0,
          844077.3082335283, 0.0007002337346829439, 1e-13),  # CLI default
         (24 * HOUR, 20_000.0, 150.0,
          3.540956247735868e-05, 6.146644337865272e-14, 1e-13),  # README tail
-        (1.0, 20.0, 50.0, 2854.7995132615983, 0.030402744069152825, 1e-13),
+        (1.0, 20.0, 50.0, 2854.7995132615983, 0.03040274406915663, 1e-13),
         # 1 ms to go: the left saddle point is 0.011 against jumps of 1500 MW,
-        # and the sum cancels; the two evaluations of E[(G^-)^2] are 4.5e-12
-        # and 5.0e-12 from the same sum taken in long double, 4.7e-13 apart
-        (1e-3, 1.0, 50.0, 2.933692950422903, 0.02750909524250912, 1e-11),
+        # and the sum cancels; the two evaluations of E[(G^-)^2] were 4.5e-12
+        # and 5.0e-12 from the same sum taken in long double, 4.7e-13 apart.
+        # The old pin also carried V's -9.8e-11 error, larger than that.
+        (1e-3, 1.0, 50.0, 2.9336929505485996, 0.027509095248441334, 1e-11),
     ], ids=["cli-default", "tail", "1s", "1ms"])
     def test_values(self, sim_params_eta200, jumps_negative, tau, spread, y,
                     bound, shortfall, rel):
@@ -928,8 +931,8 @@ class TestJumpBoundDigest:
     mean E[G] is negative (its right contour).  The shortfall probabilities
     are held to the values taken with the digest."""
 
-    DIGEST = ("42269d712b2e9a70c86d8c3377d7fa65"
-              "919886ec2613c1819910b3d3cb4aa919")
+    DIGEST = ("e74daa4b3980ad1ccebe2116a7898679"
+              "3e3dd4ccb012c92fdd3555fd25e18047")
     SHORTFALL = (
         5.813229098006305e-13, 7.144229971198072e-18, 1.2178043866709914e-19,
         2.249326084621632e-60, 2.8576888024917203e-40, 1.0,
@@ -964,7 +967,7 @@ class TestJumpBoundDigest:
         1.5544292876493905e-08, 5.28925615303374e-13, 0.0013837193773285263,
         1.0596823816029146e-06, 0.22981783204358475, 1.8567873147824062e-23,
         0.9936183049844773, 7.311542925972791e-08, 6.406835168323043e-26,
-        0.02750909524250927, 1.2152777546311968e-08, 1.215277771207588e-08,
+        0.027509095248441334, 1.2152777546311968e-08, 1.215277771207588e-08,
         0.23104578404792284, 0.030402744069152825, 1.2152703933064589e-05,
         0.0007290368573137471, 0.0007289632722401321, 0.0007289008648299233,
         6.353256200260042e-10, 6.279757814523885e-10, 5.634629446842848e-10,
